@@ -97,13 +97,17 @@ def draw_scenario(
 
     SOI and interferer DOAs are i.i.d. uniform on [-90, 90] degrees; interferer
     DOAs closer than doa_guard_deg to the SOI DOA are redrawn so the
-    interference never coincides with the look direction. Noise power is fixed
-    at 1, so snr_db and inr_db directly set the source powers.
+    interference never coincides with the look direction; a guard must lie
+    in [0, 90) so that every SOI direction leaves the interferers an arc of
+    at least 90 - guard degrees. Noise power is fixed at 1, so snr_db and
+    inr_db directly set the source powers.
     """
     if n_interferers < 0:
         raise ValueError("n_interferers must be >= 0")
     if soi_error_bound_deg < 0:
         raise ValueError("soi_error_bound_deg must be >= 0")
+    if not 0.0 <= doa_guard_deg < 90.0:
+        raise ValueError("doa_guard_deg must lie in [0, 90), got %g" % doa_guard_deg)
     for name, val in (("snr_db", snr_db), ("inr_db", inr_db)):
         if not np.isfinite(val):
             raise ValueError("%s must be finite" % name)

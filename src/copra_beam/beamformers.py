@@ -124,24 +124,20 @@ def rls_estimate(es, r, gamma):
 def quasi_optimal_gamma(es, r, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     """Quasi-optimality selector on a geometric regularization grid.
 
-    Evaluates the regularized estimate along the grid and returns the grid
-    point minimizing the norm of the successive difference; ties break toward
-    smaller values. r may be a single vector or a matrix of column
-    observations (Frobenius norm over columns).
+    Returns the grid point minimizing the norm of the successive difference
+    of the regularized estimate filt(gamma) * (U^H r); ties break toward
+    smaller values. r may be a vector or a matrix of column observations
+    (Frobenius norm). The squared norm is the closed form p @ diff(filt)^2
+    with p_i = sum_t |(U^H r)_it|^2, so no estimate is formed.
     """
     r = np.asarray(r, dtype=complex)
     if not np.any(r):
         raise ValueError("observation is zero")
     lam = es.eigenvalues
     grid = np.geomspace(lo_factor * lam[0], hi_factor * lam[0], n_grid)
-    d = es.u.conj().T @ r
+    p = np.sum(np.abs((es.u.conj().T @ r).reshape(lam.size, -1)) ** 2, axis=1)
     filt = np.sqrt(lam)[:, None] / (lam[:, None] + grid[None, :])  # (n, n_grid)
-    if d.ndim == 1:
-        x = filt * d[:, None]  # (n, n_grid)
-        diffs = np.linalg.norm(np.diff(x, axis=1), axis=0)
-    else:
-        x = filt[:, None, :] * d[:, :, None]  # (n, n_obs, n_grid)
-        diffs = np.linalg.norm(np.diff(x, axis=2), axis=(0, 1))
+    diffs = np.sqrt(p @ np.diff(filt, axis=1) ** 2)
     return float(grid[int(np.argmin(diffs))])
 
 

@@ -57,6 +57,9 @@ class ExperimentConfig:
             raise ValueError("rho must lie in (0, 1), got %g" % self.rho)
         if self.soi_error_bound_deg < 0:
             raise ValueError("soi_error_bound_deg must be >= 0")
+        if not 0.0 <= self.doa_guard_deg < 90.0:
+            raise ValueError("doa_guard_deg must lie in [0, 90), got %g"
+                             % self.doa_guard_deg)
         if self.spacing_wavelengths <= 0:
             raise ValueError("spacing_wavelengths must be positive")
         if self.diagonal_loading < 0:

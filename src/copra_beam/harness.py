@@ -8,6 +8,7 @@ methods see the same scenario and noise realizations (paired comparison).
 
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,6 @@ def run_trial(cfg, trial_index, master_seed):
     snapshots = arraysim.synthesize_snapshots(scenario, cfg.n_snapshots, rng)
     cov = arraysim.sample_covariance(snapshots)
     es = hermitian_evd(cov)
-    split = secular.split_eigenvalues(es, cfg.rho)
 
     a = scenario.a_presumed
     sinr = {}
@@ -127,6 +127,7 @@ def run_trial(cfg, trial_index, master_seed):
                 loading = cfg.diagonal_loading * scenario.noise_power
                 w = beamformers.diagonal_loading_weights(cov, a, loading)
             elif method == "copra":
+                split = secular.split_eigenvalues(es, cfg.rho)
                 diag = secular.copra_gammas(
                     es, split, a, snapshots,
                     snapshot_policy=cfg.gamma_z_policy)
@@ -168,17 +169,13 @@ def run_trial(cfg, trial_index, master_seed):
     )
 
 
-def _run_trial_args(args):
-    return run_trial(*args)
-
-
-def _point_records(cfg, master_seed, workers):
-    args = [(cfg, i, master_seed) for i in range(cfg.trials)]
-    if workers <= 1 or cfg.trials == 1:
-        return [run_trial(*a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, cfg.trials // (4 * workers))
-        return list(pool.map(_run_trial_args, args, chunksize=chunk))
+def _point_records(cfg, master_seed, pool):
+    n = cfg.trials
+    if pool is None:
+        return [run_trial(cfg, i, master_seed) for i in range(n)]
+    chunk = max(1, n // (4 * cfg.workers))
+    return list(pool.map(run_trial, [cfg] * n, range(n), [master_seed] * n,
+                         chunksize=chunk))
 
 
 def _fallback_rate(records, method):
@@ -226,14 +223,17 @@ def run_sweep(cfg, sweep_kind, master_seed=None):
         master_seed = cfg.seed
 
     rows = []
-    for value in points:
-        if sweep_kind == "snr":
-            point_cfg = dataclasses.replace(cfg, snr_db=float(value))
-        else:
-            point_cfg = dataclasses.replace(cfg, n_snapshots=int(value))
-        records = _point_records(point_cfg, master_seed, cfg.workers)
-        for method in cfg.methods:
-            rows.append(_aggregate(records, method, float(value), cfg.mean_domain))
+    # one pool for all points; map keeps trial order, whatever the worker count
+    parallel = cfg.workers > 1 and cfg.trials > 1
+    with (ProcessPoolExecutor(cfg.workers) if parallel else nullcontext()) as pool:
+        for value in points:
+            if sweep_kind == "snr":
+                point_cfg = dataclasses.replace(cfg, snr_db=float(value))
+            else:
+                point_cfg = dataclasses.replace(cfg, n_snapshots=int(value))
+            records = _point_records(point_cfg, master_seed, pool)
+            for method in cfg.methods:
+                rows.append(_aggregate(records, method, float(value), cfg.mean_domain))
 
     return SweepResult(
         sweep_variable=sweep_kind,

@@ -2,10 +2,11 @@
 
 The covariance spectrum is split into significant and near-zero groups, and
 the regularization parameter is obtained as the positive root of a scalar
-secular equation G(gamma) = 0 evaluated from O(n) eigenvalue sums. A
-safeguarded Newton iteration (bracketed by a logarithmic sign scan) solves it;
-when no positive root exists the solver falls back to a regularization level
-at the truncation scale of the spectrum and flags the event.
+secular equation G(gamma) = 0. One kernel forms its O(n) eigenvalue sums for
+a scalar gamma or a whole grid and returns G, G' and a zero-detection scale.
+Safeguarded Newton, bracketed by a logarithmic sign scan done as one
+broadcast, solves it; when no positive root exists the solver falls back to a
+regularization level at the truncation scale of the spectrum and flags it.
 """
 
 from dataclasses import dataclass
@@ -93,13 +94,15 @@ def split_eigenvalues(es, rho):
 
     All singular values strictly above the threshold are significant. With
     equal eigenvalues every one exceeds rho * mean for rho < 1, so n2 = 0 and
-    no truncation occurs.
+    no truncation occurs. An all-zero spectrum has none and is refused.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1), got %g" % rho)
     sigma = np.sqrt(es.eigenvalues)
     threshold = rho * sigma.mean()
     n1 = int(np.count_nonzero(sigma > threshold))
+    if n1 == 0:
+        raise ValueError("cannot split an all-zero spectrum")
     n = es.n
     return EigenSplit(
         es=es,
@@ -111,40 +114,58 @@ def split_eigenvalues(es, rho):
     )
 
 
-def _trace_terms(gamma, split, weights):
-    """The four eigenvalue sums entering G(gamma).
+def _secular_terms(gamma, split, weights):
+    """(G, dG/dgamma, scale) from one pass over the four eigenvalue sums.
 
     weights holds |d_i|^2 for the full spectrum; sigma1_sq is the significant
-    block. Returns (t_a, t_b, t_d, t_e).
+    block. gamma is a scalar or a 1-D grid whose points are rows summed along
+    the eigenvalue axis, so each gets the bits of a scalar call. scale, the
+    magnitude of the terms whose difference forms G, detects G = 0.
     """
     lam = split.es.eigenvalues
     lam1 = split.sigma1_sq
     beta = split.beta
-    shifted = lam + gamma
-    shifted1 = lam1 + gamma
-    t_a = np.sum(lam * weights / shifted**2)
-    t_b = np.sum((beta * lam1 + gamma) / shifted1**2)
-    t_d = np.sum(weights / shifted**2)
-    t_e = np.sum(lam1 * (beta * lam1 + gamma) / shifted1**2)
-    return t_a, t_b, t_d, t_e
+    n2 = split.n2
+    col = np.asarray(gamma, dtype=float)[..., None]
+    shifted, shifted1 = lam + col, lam1 + col
+    sq, sq1 = shifted**2, shifted1**2
+    num1 = beta * lam1 + col
+    t_a = np.sum(lam * weights / sq, axis=-1)
+    t_b = np.sum(num1 / sq1, axis=-1)
+    t_d = np.sum(weights / sq, axis=-1)
+    t_e = np.sum(lam1 * num1 / sq1, axis=-1)
+    cube, cube1 = shifted**3, shifted1**3
+    dnum1 = lam1 * (1.0 - 2.0 * beta) - col
+    dt_a = np.sum(-2.0 * lam * weights / cube, axis=-1)
+    dt_b = np.sum(dnum1 / cube1, axis=-1)
+    dt_d = np.sum(-2.0 * weights / cube, axis=-1)
+    dt_e = np.sum(lam1 * dnum1 / cube1, axis=-1)
+    # gamma as given, not col: a scalar call keeps Python-scalar arithmetic
+    g = t_a * t_b + (n2 / gamma) * t_a - t_d * t_e
+    dg = (dt_a * t_b + t_a * dt_b + n2 * (dt_a / gamma - t_a / gamma**2)
+          - dt_d * t_e - t_d * dt_e)
+    scale = abs(t_a * t_b) + (n2 / gamma) * abs(t_a) + abs(t_d * t_e)
+    return g, dg, scale
+
+
+def _checked_weights(split, weights):
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (split.es.n,):
+        raise ValueError("weights length %s does not match system size %d"
+                         % (weights.shape, split.es.n))
+    return weights
 
 
 def _secular_scale(gamma, split, weights):
-    """Magnitude of the terms whose difference forms G; zero-detection scale."""
-    t_a, t_b, t_d, t_e = _trace_terms(gamma, split, weights)
-    return abs(t_a * t_b) + (split.n2 / gamma) * abs(t_a) + abs(t_d * t_e)
+    """Zero-detection scale of G(gamma)."""
+    return _secular_terms(gamma, split, weights)[2]
 
 
 def secular_function_weighted(gamma, split, weights):
     """G(gamma) with the observation entering only through |d_i|^2 weights."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (split.es.n,):
-        raise ValueError("weights length %s does not match system size %d"
-                         % (weights.shape, split.es.n))
-    t_a, t_b, t_d, t_e = _trace_terms(gamma, split, weights)
-    return t_a * t_b + (split.n2 / gamma) * t_a - t_d * t_e
+    return _secular_terms(gamma, split, _checked_weights(split, weights))[0]
 
 
 def secular_function(gamma, split, d):
@@ -155,26 +176,7 @@ def secular_function(gamma, split, d):
 
 def secular_derivative_weighted(gamma, split, weights):
     """Analytic dG/dgamma from the closed-form eigenvalue sums."""
-    lam = split.es.eigenvalues
-    lam1 = split.sigma1_sq
-    beta = split.beta
-    n2 = split.n2
-    shifted = lam + gamma
-    shifted1 = lam1 + gamma
-
-    t_a, t_b, t_d, t_e = _trace_terms(gamma, split, weights)
-    dt_a = np.sum(-2.0 * lam * weights / shifted**3)
-    dt_b = np.sum((lam1 * (1.0 - 2.0 * beta) - gamma) / shifted1**3)
-    dt_d = np.sum(-2.0 * weights / shifted**3)
-    dt_e = np.sum(lam1 * (lam1 * (1.0 - 2.0 * beta) - gamma) / shifted1**3)
-
-    return (
-        dt_a * t_b
-        + t_a * dt_b
-        + n2 * (dt_a / gamma - t_a / gamma**2)
-        - dt_d * t_e
-        - t_d * dt_e
-    )
+    return _secular_terms(gamma, split, np.asarray(weights, dtype=float))[1]
 
 
 def _fallback_gamma(split):
@@ -184,65 +186,57 @@ def _fallback_gamma(split):
 def solve_secular_weighted(split, weights, opts=SolverOptions()):
     """Solve G(gamma) = 0 by bracketed Newton; fall back when no root exists.
 
-    A logarithmic sign scan locates the first bracket; Newton iterates inside
-    it with bisection safeguards. Failures are reported, never raised, so
-    Monte-Carlo runs always complete.
+    One kernel call scans the whole logarithmic grid for the first sign
+    change; Newton iterates inside that bracket with bisection safeguards,
+    taking G and G' at each point from one kernel call. Failures are
+    reported, never raised, so Monte-Carlo runs always complete.
     """
-    weights = np.asarray(weights, dtype=float)
+    weights = _checked_weights(split, weights)
     mean_lam = float(split.es.eigenvalues.mean())
     if mean_lam <= 0:
         return SecularSolveReport(
             gamma=max(_fallback_gamma(split), np.finfo(float).tiny),
             iterations=0, residual=np.nan, converged=False, fallback_used=True)
 
-    def g(x):
-        return secular_function_weighted(x, split, weights)
-
-    def dg(x):
-        return secular_derivative_weighted(x, split, weights)
+    def kernel(x):
+        return _secular_terms(x, split, weights)
 
     # bracket: first sign change on a log grid; values at round-off scale
     # relative to the constituent trace terms count as zero (degenerate
     # spectra make G identically zero without an isolated root)
     grid = np.geomspace(opts.scan_lo_factor * mean_lam,
                         opts.scan_hi_factor * mean_lam, opts.scan_points)
-    vals = np.array([g(x) for x in grid])
-    scales = np.array([_secular_scale(x, split, weights) for x in grid])
+    vals, _, scales = kernel(grid)
     sign = np.sign(vals)
     sign[np.abs(vals) <= 1e-12 * scales] = 0
     nonzero = np.nonzero(sign)[0]
-    bracket_lo = None
-    for a, b in zip(nonzero[:-1], nonzero[1:]):
-        if sign[a] != sign[b]:
-            bracket_lo = a
-            bracket_hi = b
-            break
-    if bracket_lo is None:
+    change = np.nonzero(sign[nonzero[:-1]] != sign[nonzero[1:]])[0]
+    if not change.size:
         return SecularSolveReport(
             gamma=_fallback_gamma(split), iterations=0,
             residual=float(np.abs(vals).min()),
             converged=False, fallback_used=True)
+    bracket_lo, bracket_hi = nonzero[change[0]], nonzero[change[0] + 1]
 
     lo, hi = float(grid[bracket_lo]), float(grid[bracket_hi])
     g_lo, g_hi = float(vals[bracket_lo]), float(vals[bracket_hi])
     bracket = (lo, hi)
 
-    g_init = g(max(opts.init_factor * mean_lam, lo))
+    g_init = kernel(max(opts.init_factor * mean_lam, lo))[0]
     tol_abs = opts.residual_rel_tol * max(abs(g_init), abs(g_lo), abs(g_hi))
 
-    x = lo
-    gx = g_lo
+    x, gx = lo, g_lo
+    slope = kernel(x)[1]
     iters = 0
     for _ in range(opts.max_newton_iters):
         iters += 1
-        slope = dg(x)
         if slope != 0.0 and np.isfinite(slope):
             step = x - gx / slope
         else:
             step = 0.5 * (lo + hi)
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
-        g_step = g(step)
+        g_step, slope, _ = kernel(step)
         converged = (abs(g_step) <= tol_abs
                      or abs(step - x) <= opts.gamma_rel_tol * step)
         x, gx = step, g_step
@@ -259,7 +253,7 @@ def solve_secular_weighted(split, weights, opts=SolverOptions()):
     for _ in range(opts.max_bisect_iters):
         iters += 1
         mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
+        g_mid = kernel(mid)[0]
         if np.sign(g_mid) == np.sign(g_lo):
             lo, g_lo = mid, g_mid
         else:
@@ -269,7 +263,7 @@ def solve_secular_weighted(split, weights, opts=SolverOptions()):
                                       converged=True, fallback_used=False,
                                       bracket=bracket)
     mid = 0.5 * (lo + hi)
-    return SecularSolveReport(gamma=mid, iterations=iters, residual=abs(g(mid)),
+    return SecularSolveReport(gamma=mid, iterations=iters, residual=abs(kernel(mid)[0]),
                               converged=False, fallback_used=False, bracket=bracket)
 
 

@@ -62,6 +62,27 @@ def grid_secular_values(split, weights, grid):
     return t_a * t_b + (split.n2 / grid) * t_a - t_d * t_e
 
 
+def dense_quasi_gamma(es, r, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
+    """Quasi-optimality grid point from the dense regularized-estimate tensor.
+
+    Forms the estimate filt * (U^H r) at every grid point, an (n, n_grid) or
+    (n, n_obs, n_grid) array, and takes the norm of its successive
+    differences. Oracle for the runtime selector's closed form.
+    """
+    r = np.asarray(r, dtype=complex)
+    lam = es.eigenvalues
+    grid = np.geomspace(lo_factor * lam[0], hi_factor * lam[0], n_grid)
+    d = es.u.conj().T @ r
+    filt = np.sqrt(lam)[:, None] / (lam[:, None] + grid[None, :])
+    if d.ndim == 1:
+        x = filt * d[:, None]
+        diffs = np.linalg.norm(np.diff(x, axis=1), axis=0)
+    else:
+        x = filt[:, None, :] * d[:, :, None]
+        diffs = np.linalg.norm(np.diff(x, axis=2), axis=(0, 1))
+    return float(grid[int(np.argmin(diffs))])
+
+
 def grid_scan_root(split, weights, n_points=10**6, lo_factor=1e-9, hi_factor=1e3):
     """First positive root of G by dense log-grid sign scan plus bisection.
 

@@ -86,6 +86,13 @@ def test_interferer_guard_band():
             assert abs(doa - sc.soi_doa_deg) >= 2.0
 
 
+def test_doa_guard_out_of_range_refused():
+    rng = np.random.default_rng(0)
+    for guard in (500.0, 90.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="doa_guard_deg"):
+            draw_scenario(rng, doa_guard_deg=guard)
+
+
 def test_invalid_scenario_config():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):

@@ -63,6 +63,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 3"):
             load_config(str(path))
 
+    def test_doa_guard_refused_at_load(self, tmp_path):
+        for guard in ("500", "-1", "NaN"):
+            path = tmp_path / "guard.json"
+            path.write_text('{"doa_guard_deg": %s}' % guard)
+            with pytest.raises(ValueError, match="doa_guard_deg"):
+                load_config(str(path))
+
     def test_quasi_grid_nested(self):
         cfg = config_from_dict({"quasi_grid": {"points": 50}})
         assert cfg.quasi_grid.points == 50

@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from copra_beam import harness
 from copra_beam.arraysim import draw_scenario, steering_vector
 from copra_beam.config import ExperimentConfig
 from copra_beam.harness import output_sinr, run_sweep, run_trial
+from copra_beam.linalg import HermitianEigensystem
 
 
 def _fast_cfg(**kwargs):
@@ -88,6 +90,23 @@ class TestRunTrial:
         rec = run_trial(cfg, 0, 11)
         assert rec.mvdr_loaded
         assert rec.sinr["sample-mvdr"] is not None
+
+    def test_wide_doa_guard_completes(self):
+        cfg = _fast_cfg(trials=1, doa_guard_deg=89.0)
+        rec = run_trial(cfg, 0, 1)
+        assert all(v is not None for v in rec.sinr.values())
+        for doa in rec.interferer_doas_deg:
+            assert abs(doa - rec.soi_doa_deg) >= 89.0
+
+    def test_zero_spectrum_fails_methods_not_trial(self, monkeypatch):
+        # an all-zero spectrum cannot be split: copra is recorded as failed
+        # and the trial still returns
+        zero = HermitianEigensystem(np.eye(10, dtype=complex), np.zeros(10))
+        monkeypatch.setattr(harness, "hermitian_evd", lambda c: zero)
+        rec = run_trial(_fast_cfg(), 0, 1)
+        assert rec.sinr["copra"] is None
+        assert "all-zero spectrum" in rec.failures["copra"]
+        assert rec.sinr["optimal"] is not None
 
     def test_zero_error_large_sample_mvdr_near_optimal(self):
         # with no look-direction error the sample beamformer is consistent:

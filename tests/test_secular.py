@@ -54,6 +54,10 @@ class TestSplit:
             assert np.all(sigma[split.n1:] <= tau)
             assert split.beta == 10 / split.n1
 
+    def test_all_zero_spectrum_refused(self):
+        with pytest.raises(ValueError, match="all-zero spectrum"):
+            split_eigenvalues(hermitian_evd(np.zeros((4, 4))), 0.1)
+
     def test_rho_out_of_range(self):
         es = _diag_es([1.0, 2.0])
         for rho in (0.0, 1.0, -0.5, 2.0):
