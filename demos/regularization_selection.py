@@ -10,7 +10,7 @@ import numpy as np
 from copra_beam.arraysim import draw_scenario, sample_covariance, synthesize_snapshots
 from copra_beam.linalg import hermitian_evd
 from copra_beam.secular import (
-    copra_gammas, secular_function_weighted, split_eigenvalues,
+    copra_gammas, lambda_o_sq, secular_function_weighted, split_eigenvalues,
 )
 
 
@@ -43,7 +43,8 @@ def main():
     print("  gamma_z = %.6g  (converged=%s, fallback=%s)"
           % (diag.gamma_z, diag.report_z.converged,
              diag.report_z.fallback_used))
-    print("  implied squared perturbation bound: %.6g" % diag.lambda_o_sq_b)
+    print("  implied squared perturbation bound: %.6g"
+          % lambda_o_sq(diag.gamma_b, es, sc.a_presumed))
     print("\nwhen no positive root exists the solver falls back to "
           "rho * mean(eigenvalues) and flags it, so sweeps never abort.")
 

@@ -6,10 +6,9 @@ Run:  python3 demos/snr_sweep.py   (writes into demos/out/)
 
 from pathlib import Path
 
-from copra_beam.cli import _write_meta, _write_sweep_csv, _sweep_series
+from copra_beam.cli import _sweep_svg, _write_meta, _write_sweep_csv
 from copra_beam.config import ExperimentConfig
 from copra_beam.harness import run_sweep
-from copra_beam.svgplot import render_line_chart
 
 
 def main():
@@ -22,10 +21,8 @@ def main():
     out = Path(__file__).parent / "out"
     out.mkdir(exist_ok=True)
     _write_sweep_csv(result, out / "sweep.csv")
-    series, x_label = _sweep_series(result.rows, result.sweep_variable)
-    svg = render_line_chart(series, x_label, "mean output SINR (dB)",
-                            title="Output SINR vs %s" % x_label)
-    (out / "sweep.svg").write_text(svg)
+    points = [(r.method, r.value, r.mean_sinr_db) for r in result.rows]
+    (out / "sweep.svg").write_text(_sweep_svg(points, result.sweep_variable))
     _write_meta(result, out / "meta.json")
 
     print("mean output SINR (dB) by method:")

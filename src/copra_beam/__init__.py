@@ -22,26 +22,20 @@ from .beamformers import (
     BeamformerWeights,
     copra_weights,
     diagonal_loading_weights,
-    ls_estimate,
     mvdr_weights,
     optimal_weights,
     quasi_optimal_gamma,
-    rls_estimate,
-    worst_case_cost,
-    worst_case_gradient,
 )
 from .config import ExperimentConfig, QuasiGridOptions, load_config
 from .harness import SweepResult, TrialRecord, output_sinr, run_sweep, run_trial
-from .linalg import HermitianEigensystem, apply_filtered, hermitian_evd, matrix_sqrt_eigs
+from .linalg import HermitianEigensystem, hermitian_evd
 from .secular import (
     CopraDiagnostics,
     EigenSplit,
     SecularSolveReport,
     SolverOptions,
     copra_gammas,
-    gamma_mse_approx,
     lambda_o_sq,
-    rls_mse,
     secular_function,
     solve_secular,
     split_eigenvalues,

@@ -33,8 +33,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n_elements < 2:
             raise ValueError("n_elements must be >= 2")
-        if not self.spacing_wavelengths > 0:
-            raise ValueError("spacing_wavelengths must be positive")
+        if not 0 < self.spacing_wavelengths < np.inf:
+            raise ValueError("spacing_wavelengths must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,7 @@ def draw_scenario(
         error = rng.uniform(-soi_error_bound_deg, soi_error_bound_deg)
     else:
         error = 0.0
+    # the look error actually applied, after clipping the look direction
     presumed_doa = float(np.clip(soi_doa + error, -90.0, 90.0))
 
     soi_power = 10.0 ** (snr_db / 10.0)
@@ -132,7 +133,7 @@ def draw_scenario(
     return Scenario(
         geometry=geometry,
         soi_doa_deg=soi_doa,
-        soi_error_deg=error,
+        soi_error_deg=presumed_doa - soi_doa,
         interferer_doas_deg=tuple(interferer_doas),
         soi_power=soi_power,
         interferer_powers=interferer_powers,

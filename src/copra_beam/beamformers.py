@@ -1,5 +1,5 @@
-"""Weight computation for every beamforming method under test, plus the
-generic regularized estimators and worst-case cost/gradient used as oracles.
+"""Weight computation for every beamforming method under test and the
+quasi-optimality regularization selector.
 
 All spectral filtering goes through one shared eigendecomposition of the
 sample covariance; no second inversion pathway exists.
@@ -18,11 +18,7 @@ __all__ = [
     "diagonal_loading_weights",
     "copra_weights",
     "optimal_weights",
-    "ls_estimate",
-    "rls_estimate",
     "quasi_optimal_gamma",
-    "worst_case_cost",
-    "worst_case_gradient",
 ]
 
 _PD_RTOL = 1e-12
@@ -100,27 +96,6 @@ def optimal_weights(scenario):
     return BeamformerWeights(w=w.w, method="optimal")
 
 
-def ls_estimate(es, r):
-    """Unregularized solve of A x = r for Hermitian PSD A with A^2 = C."""
-    lam = es.eigenvalues
-    if lam[-1] <= 0:
-        raise SingularCovarianceError("system matrix is singular")
-    r = np.asarray(r, dtype=complex)
-    return es.u @ ((es.u.conj().T @ r) / np.sqrt(lam))
-
-
-def rls_estimate(es, r, gamma):
-    """Regularized solve: x = U (lam + gamma)^{-1} sqrt(lam) U^H r."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    lam = es.eigenvalues
-    if gamma == 0 and lam[-1] <= 0:
-        raise SingularCovarianceError("gamma = 0 requires an invertible spectrum")
-    r = np.asarray(r, dtype=complex)
-    filt = np.sqrt(lam) / (lam + gamma)
-    return es.u @ (filt * (es.u.conj().T @ r))
-
-
 def quasi_optimal_gamma(es, r, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     """Quasi-optimality selector on a geometric regularization grid.
 
@@ -134,42 +109,10 @@ def quasi_optimal_gamma(es, r, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     if not np.any(r):
         raise ValueError("observation is zero")
     lam = es.eigenvalues
+    if not lam[0] > 0:
+        raise ValueError("cannot select gamma for an all-zero spectrum")
     grid = np.geomspace(lo_factor * lam[0], hi_factor * lam[0], n_grid)
     p = np.sum(np.abs((es.u.conj().T @ r).reshape(lam.size, -1)) ** 2, axis=1)
     filt = np.sqrt(lam)[:, None] / (lam[:, None] + grid[None, :])  # (n, n_grid)
     diffs = np.sqrt(p @ np.diff(filt, axis=1) ** 2)
     return float(grid[int(np.argmin(diffs))])
-
-
-def _sqrt_apply(es, x):
-    lam = np.sqrt(es.eigenvalues)
-    return es.u @ (lam * (es.u.conj().T @ x))
-
-
-def worst_case_cost(x, r, es, bound):
-    """Robust cost: residual norm plus bound times solution norm."""
-    if bound < 0:
-        raise ValueError("perturbation bound must be >= 0")
-    x = np.asarray(x, dtype=complex)
-    r = np.asarray(r, dtype=complex)
-    return float(np.linalg.norm(r - _sqrt_apply(es, x)) + bound * np.linalg.norm(x))
-
-
-def worst_case_gradient(x, r, es, bound):
-    """Gradient of the robust cost with respect to the complex solution vector.
-
-    Components are d/dRe + i d/dIm of the real cost. Both norms in the
-    denominators must be nonzero.
-    """
-    x = np.asarray(x, dtype=complex)
-    r = np.asarray(r, dtype=complex)
-    resid = r - _sqrt_apply(es, x)
-    resid_norm = np.linalg.norm(resid)
-    x_norm = np.linalg.norm(x)
-    scale = np.linalg.norm(r)
-    if resid_norm <= 1e-12 * scale:
-        raise ValueError("residual norm vanished; gradient undefined")
-    if x_norm <= 1e-12 * scale:
-        raise ValueError("solution norm vanished; gradient undefined")
-    c_x = es.u @ (es.eigenvalues * (es.u.conj().T @ x))
-    return (c_x + bound * resid_norm * x / x_norm - _sqrt_apply(es, r)) / resid_norm

@@ -56,17 +56,17 @@ def _write_meta(result, path):
         fh.write("\n")
 
 
-def _sweep_series(rows, sweep_variable):
-    methods = []
-    for row in rows:
-        if row.method not in methods:
-            methods.append(row.method)
-    series = []
-    for method in methods:
-        pts = [(r.value, r.mean_sinr_db) for r in rows if r.method == method]
-        series.append((method, [p[0] for p in pts], [p[1] for p in pts]))
+def _sweep_svg(points, sweep_variable):
+    """Chart of (method, value, mean_db) points, one series per method."""
+    series = {}
+    for method, value, mean_db in points:
+        xs, ys = series.setdefault(method, ([], []))
+        xs.append(value)
+        ys.append(mean_db)
     x_label = "input SNR (dB)" if sweep_variable == "snr" else "number of snapshots"
-    return series, x_label
+    return render_line_chart([(m, xs, ys) for m, (xs, ys) in series.items()],
+                             x_label, "mean output SINR (dB)",
+                             title="Output SINR vs %s" % x_label)
 
 
 def _load_cfg(args):
@@ -87,10 +87,8 @@ def cmd_sweep(args):
     out.mkdir(parents=True, exist_ok=True)
     result = run_sweep(cfg, args.kind, master_seed=cfg.seed)
     _write_sweep_csv(result, out / "sweep.csv")
-    series, x_label = _sweep_series(result.rows, result.sweep_variable)
-    svg = render_line_chart(series, x_label, "mean output SINR (dB)",
-                            title="Output SINR vs %s" % x_label)
-    (out / "sweep.svg").write_text(svg)
+    points = [(r.method, r.value, r.mean_sinr_db) for r in result.rows]
+    (out / "sweep.svg").write_text(_sweep_svg(points, result.sweep_variable))
     _write_meta(result, out / "meta.json")
     return 0
 
@@ -106,27 +104,13 @@ def cmd_trial(args):
         cfg = dataclasses.replace(cfg, **overrides)
     record = run_trial(cfg, 0, cfg.seed)
 
-    from .linalg import hermitian_evd
-    from . import arraysim, secular
-    import numpy as np
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0]))
-    geometry = arraysim.ArrayGeometry(cfg.n_elements, cfg.spacing_wavelengths)
-    scenario = arraysim.draw_scenario(
-        rng, geometry=geometry, n_interferers=cfg.n_interferers,
-        snr_db=cfg.snr_db, inr_db=cfg.inr_db,
-        soi_error_bound_deg=cfg.soi_error_bound_deg,
-        doa_guard_deg=cfg.doa_guard_deg)
-    snapshots = arraysim.synthesize_snapshots(scenario, cfg.n_snapshots, rng)
-    es = hermitian_evd(arraysim.sample_covariance(snapshots))
-    split = secular.split_eigenvalues(es, cfg.rho)
-
     payload = {
         "seed": cfg.seed,
         "soi_doa_deg": record.soi_doa_deg,
         "soi_error_deg": record.soi_error_deg,
         "interferer_doas_deg": list(record.interferer_doas_deg),
-        "n1": split.n1,
-        "n2": split.n2,
+        "n1": record.n1,
+        "n2": record.n2,
         "gamma_b": record.gamma_b,
         "gamma_z": record.gamma_z,
         "fallback_b": record.fallback_b,
@@ -148,8 +132,9 @@ def cmd_trial(args):
     if record.interferer_doas_deg:
         print("  interferers at %s deg" %
               ", ".join("%.3f" % d for d in record.interferer_doas_deg))
-    print("  eigenvalue split: n1=%d significant, n2=%d trivial" %
-          (split.n1, split.n2))
+    if record.n1 is not None:
+        print("  eigenvalue split: n1=%d significant, n2=%d trivial" %
+              (record.n1, record.n2))
     print("  gamma_b=%.6g%s  gamma_z=%.6g%s" %
           (record.gamma_b, " (fallback)" if record.fallback_b else "",
            record.gamma_z, " (fallback)" if record.fallback_z else ""))
@@ -171,24 +156,12 @@ def cmd_plot(args):
             raise SystemExit("unexpected CSV header in %s" % args.csv)
         for lineno, raw in enumerate(reader, start=2):
             try:
-                rows.append((raw[0], float(raw[1]), raw[2], float(raw[3])))
+                rows.append((raw[0], raw[2], float(raw[1]), float(raw[3])))
             except (IndexError, ValueError):
                 raise SystemExit("malformed CSV row %d in %s" % (lineno, args.csv))
     if not rows:
         raise SystemExit("CSV %s contains no data rows" % args.csv)
-    sweep_variable = rows[0][0]
-
-    class _Row:
-        def __init__(self, value, method, mean_sinr_db):
-            self.value = value
-            self.method = method
-            self.mean_sinr_db = mean_sinr_db
-
-    series, x_label = _sweep_series(
-        [_Row(v, m, s) for _, v, m, s in rows], sweep_variable)
-    svg = render_line_chart(series, x_label, "mean output SINR (dB)",
-                            title="Output SINR vs %s" % x_label)
-    Path(args.out_svg).write_text(svg)
+    Path(args.out_svg).write_text(_sweep_svg([r[1:] for r in rows], rows[0][0]))
     return 0
 
 
@@ -210,7 +183,6 @@ def build_parser():
     p_trial = sub.add_parser("trial", help="run and report a single trial")
     p_trial.add_argument("--config", help="JSON config file")
     p_trial.add_argument("--seed", type=int, default=None)
-    p_trial.add_argument("--workers", type=int, default=None)
     p_trial.add_argument("--json", action="store_true")
     p_trial.add_argument("--no-interferers", action="store_true")
     p_trial.add_argument("--snr-db", type=float, default=None)

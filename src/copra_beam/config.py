@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
+
+from .arraysim import ArrayGeometry
 
 __all__ = ["ExperimentConfig", "QuasiGridOptions", "load_config", "config_from_dict"]
 
@@ -16,6 +19,13 @@ class QuasiGridOptions:
     points: int = 200
     lo_factor: float = 1e-8
     hi_factor: float = 10.0
+
+    def __post_init__(self):
+        if self.points < 2:
+            raise ValueError("quasi_grid.points must be >= 2")
+        if not 0.0 < self.lo_factor < self.hi_factor < math.inf:
+            raise ValueError("quasi_grid factors must satisfy "
+                             "0 < lo_factor < hi_factor < inf")
 
 
 @dataclass(frozen=True)
@@ -45,23 +55,28 @@ class ExperimentConfig:
     diagonal_loading: float = 10.0
     quasi_grid: QuasiGridOptions = field(default_factory=QuasiGridOptions)
     gamma_z_policy: str = "averaged"
-    mean_domain: str = "linear"
 
     def __post_init__(self):
-        for name in ("n_elements", "trials", "n_snapshots", "workers"):
+        for name in ("trials", "n_snapshots", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
+        if any(v < 1 for v in self.snapshot_grid):
+            raise ValueError("snapshot_grid entries must be >= 1")
+        ArrayGeometry(self.n_elements, self.spacing_wavelengths)  # checks both
         if self.n_interferers < 0:
             raise ValueError("n_interferers must be >= 0")
+        for name in ("snr_db", "inr_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
+        if not all(map(math.isfinite, self.snr_db_grid)):
+            raise ValueError("snr_db_grid entries must be finite")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1), got %g" % self.rho)
-        if self.soi_error_bound_deg < 0:
-            raise ValueError("soi_error_bound_deg must be >= 0")
+        if not 0.0 <= self.soi_error_bound_deg < math.inf:
+            raise ValueError("soi_error_bound_deg must be finite and >= 0")
         if not 0.0 <= self.doa_guard_deg < 90.0:
             raise ValueError("doa_guard_deg must lie in [0, 90), got %g"
                              % self.doa_guard_deg)
-        if self.spacing_wavelengths <= 0:
-            raise ValueError("spacing_wavelengths must be positive")
         if self.diagonal_loading < 0:
             raise ValueError("diagonal_loading must be >= 0")
         unknown = set(self.methods) - set(METHODS)
@@ -69,8 +84,6 @@ class ExperimentConfig:
             raise ValueError("unknown methods: %s" % sorted(unknown))
         if self.gamma_z_policy not in ("averaged", "per-snapshot-median"):
             raise ValueError("gamma_z_policy must be 'averaged' or 'per-snapshot-median'")
-        if self.mean_domain not in ("linear", "db"):
-            raise ValueError("mean_domain must be 'linear' or 'db'")
 
     def to_dict(self):
         d = dataclasses.asdict(self)

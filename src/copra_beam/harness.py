@@ -24,11 +24,16 @@ __all__ = ["TrialRecord", "PointStats", "SweepResult", "output_sinr",
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Per-trial SINR for every enabled method, plus solver diagnostics."""
+    """Per-trial SINR for every enabled method, plus solver diagnostics.
+
+    n1/n2 is copra's eigenvalue split, None when copra did not split.
+    """
 
     trial_index: int
     sinr: dict            # method -> linear SINR, or None on failure
     failures: dict        # method -> reason string, for missing values
+    n1: int
+    n2: int
     gamma_b: float
     gamma_z: float
     fallback_b: bool
@@ -108,6 +113,7 @@ def run_trial(cfg, trial_index, master_seed):
     a = scenario.a_presumed
     sinr = {}
     failures = {}
+    n1 = n2 = None
     gamma_b = gamma_z = float("nan")
     fallback_b = fallback_z = False
     mvdr_loaded = False
@@ -122,12 +128,12 @@ def run_trial(cfg, trial_index, master_seed):
                     mvdr_loaded = True
                     loading = 1e-8 * es.eigenvalues.sum() / cfg.n_elements
                     w = beamformers.diagonal_loading_weights(cov, a, loading)
-                    w = dataclasses.replace(w, method="sample-mvdr")
             elif method == "diagonal-loading":
                 loading = cfg.diagonal_loading * scenario.noise_power
                 w = beamformers.diagonal_loading_weights(cov, a, loading)
             elif method == "copra":
                 split = secular.split_eigenvalues(es, cfg.rho)
+                n1, n2 = split.n1, split.n2
                 diag = secular.copra_gammas(
                     es, split, a, snapshots,
                     snapshot_policy=cfg.gamma_z_policy)
@@ -144,7 +150,6 @@ def run_trial(cfg, trial_index, master_seed):
                     es, snapshots.snapshots, n_grid=q.points,
                     lo_factor=q.lo_factor, hi_factor=q.hi_factor)
                 w = beamformers.copra_weights(es, gb, gz, a)
-                w = dataclasses.replace(w, method="quasi-rls")
             elif method == "optimal":
                 w = beamformers.optimal_weights(scenario)
             else:
@@ -158,6 +163,8 @@ def run_trial(cfg, trial_index, master_seed):
         trial_index=trial_index,
         sinr=sinr,
         failures=failures,
+        n1=n1,
+        n2=n2,
         gamma_b=gamma_b,
         gamma_z=gamma_z,
         fallback_b=fallback_b,
@@ -186,21 +193,16 @@ def _fallback_rate(records, method):
     return 0.0
 
 
-def _aggregate(records, method, value, mean_domain):
+def _aggregate(records, method, value):
     vals = np.array([r.sinr[method] for r in records if r.sinr.get(method) is not None])
     n = len(vals)
     if n == 0:
         return PointStats(value, method, float("nan"), float("nan"), 0,
                           _fallback_rate(records, method))
-    if mean_domain == "db":
-        db = 10.0 * np.log10(vals)
-        mean_db = float(db.mean())
-        stderr_db = float(db.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    else:
-        mean_lin = vals.mean()
-        mean_db = float(10.0 * np.log10(mean_lin))
-        se_lin = vals.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
-        stderr_db = float(10.0 / np.log(10.0) * se_lin / mean_lin)
+    mean_lin = vals.mean()
+    mean_db = float(10.0 * np.log10(mean_lin))
+    se_lin = vals.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+    stderr_db = float(10.0 / np.log(10.0) * se_lin / mean_lin)
     return PointStats(value, method, mean_db, stderr_db, n,
                       _fallback_rate(records, method))
 
@@ -233,7 +235,7 @@ def run_sweep(cfg, sweep_kind, master_seed=None):
                 point_cfg = dataclasses.replace(cfg, n_snapshots=int(value))
             records = _point_records(point_cfg, master_seed, pool)
             for method in cfg.methods:
-                rows.append(_aggregate(records, method, float(value), cfg.mean_domain))
+                rows.append(_aggregate(records, method, float(value)))
 
     return SweepResult(
         sweep_variable=sweep_kind,

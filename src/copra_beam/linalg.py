@@ -6,12 +6,7 @@ regularization selection) runs through one eigendecomposition per trial.
 
 import numpy as np
 
-__all__ = [
-    "HermitianEigensystem",
-    "hermitian_evd",
-    "matrix_sqrt_eigs",
-    "apply_filtered",
-]
+__all__ = ["HermitianEigensystem", "hermitian_evd"]
 
 _HERMITIAN_TOL = 1e-8
 
@@ -33,10 +28,6 @@ class HermitianEigensystem:
     @property
     def n(self):
         return self.eigenvalues.shape[0]
-
-    def reconstruct(self):
-        """Dense matrix U diag(eigenvalues) U^H."""
-        return (self.u * self.eigenvalues) @ self.u.conj().T
 
 
 def hermitian_evd(a):
@@ -70,31 +61,3 @@ def hermitian_evd(a):
     w = np.maximum(w[::-1], 0.0)
     v = v[:, ::-1]
     return HermitianEigensystem(np.ascontiguousarray(v), np.ascontiguousarray(w))
-
-
-def matrix_sqrt_eigs(es):
-    """Singular values of the decomposed matrix: element-wise sqrt of eigenvalues."""
-    return np.sqrt(es.eigenvalues)
-
-
-def apply_filtered(es, f, v):
-    """Apply the spectral map U diag(f(lambda_i)) U^H to a vector.
-
-    Args:
-        es: HermitianEigensystem.
-        f: scalar (vectorizable) real map applied to the eigenvalues.
-        v: complex vector of length n.
-
-    Returns:
-        U f(diag) U^H v as a complex ndarray.
-
-    Raises:
-        ValueError: dimension mismatch or non-finite filter values.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (es.n,):
-        raise ValueError("vector length %s does not match system size %d" % (v.shape, es.n))
-    fl = np.asarray(f(es.eigenvalues), dtype=float)
-    if not np.all(np.isfinite(fl)):
-        raise ValueError("spectral map produced non-finite values")
-    return es.u @ (fl * (es.u.conj().T @ v))

@@ -21,13 +21,10 @@ __all__ = [
     "split_eigenvalues",
     "secular_function",
     "secular_function_weighted",
-    "secular_derivative_weighted",
     "solve_secular",
     "solve_secular_weighted",
     "copra_gammas",
     "lambda_o_sq",
-    "rls_mse",
-    "gamma_mse_approx",
 ]
 
 
@@ -61,13 +58,12 @@ class SecularSolveReport:
 
 @dataclass(frozen=True)
 class CopraDiagnostics:
-    """Solved regularization pair plus the perturbation-bound diagnostic."""
+    """Solved regularization pair and the report of each solve."""
 
     gamma_b: float
     gamma_z: float
     report_b: SecularSolveReport
     report_z: SecularSolveReport
-    lambda_o_sq_b: float
 
 
 @dataclass(frozen=True)
@@ -156,11 +152,6 @@ def _checked_weights(split, weights):
     return weights
 
 
-def _secular_scale(gamma, split, weights):
-    """Zero-detection scale of G(gamma)."""
-    return _secular_terms(gamma, split, weights)[2]
-
-
 def secular_function_weighted(gamma, split, weights):
     """G(gamma) with the observation entering only through |d_i|^2 weights."""
     if gamma <= 0:
@@ -172,11 +163,6 @@ def secular_function(gamma, split, d):
     """G(gamma) for an observation expressed in the eigenbasis, d = U^H r."""
     d = np.asarray(d, dtype=complex)
     return secular_function_weighted(gamma, split, np.abs(d) ** 2)
-
-
-def secular_derivative_weighted(gamma, split, weights):
-    """Analytic dG/dgamma from the closed-form eigenvalue sums."""
-    return _secular_terms(gamma, split, np.asarray(weights, dtype=float))[1]
 
 
 def _fallback_gamma(split):
@@ -192,11 +178,8 @@ def solve_secular_weighted(split, weights, opts=SolverOptions()):
     reported, never raised, so Monte-Carlo runs always complete.
     """
     weights = _checked_weights(split, weights)
+    # positive: split_eigenvalues refuses a spectrum without a positive eigenvalue
     mean_lam = float(split.es.eigenvalues.mean())
-    if mean_lam <= 0:
-        return SecularSolveReport(
-            gamma=max(_fallback_gamma(split), np.finfo(float).tiny),
-            iterations=0, residual=np.nan, converged=False, fallback_used=True)
 
     def kernel(x):
         return _secular_terms(x, split, weights)
@@ -283,7 +266,9 @@ def copra_gammas(es, split, a_presumed, snapshots, opts=SolverOptions(),
     The steering-side solve uses d = U^H a. For the snapshot side the default
     policy replaces |d_i|^2 by its average over all snapshots, which equals the
     covariance eigenvalue lambda_i; the alternative solves per snapshot and
-    takes the median gamma.
+    takes the median gamma. Its report sums the iterations and takes the
+    largest residual; it is converged only if every solve converged and a
+    fallback if any solve fell back.
     """
     d_a = es.u.conj().T @ np.asarray(a_presumed, dtype=complex)
     report_b = solve_secular(split, d_a, opts)
@@ -294,16 +279,14 @@ def copra_gammas(es, split, a_presumed, snapshots, opts=SolverOptions(),
         report_z = solve_secular_weighted(split, es.eigenvalues.copy(), opts)
     elif snapshot_policy == "per-snapshot-median":
         y = snapshots.snapshots
-        gammas = []
-        for t in range(y.shape[1]):
-            rep = solve_secular(split, es.u.conj().T @ y[:, t], opts)
-            gammas.append(rep.gamma)
-        gamma_med = float(np.median(gammas))
+        reps = [solve_secular(split, es.u.conj().T @ y[:, t], opts)
+                for t in range(y.shape[1])]
         report_z = SecularSolveReport(
-            gamma=gamma_med, iterations=0,
-            residual=abs(secular_function_weighted(
-                gamma_med, split, np.abs(es.u.conj().T @ y[:, 0]) ** 2)),
-            converged=True, fallback_used=False)
+            gamma=float(np.median([r.gamma for r in reps])),
+            iterations=sum(r.iterations for r in reps),
+            residual=max(r.residual for r in reps),
+            converged=all(r.converged for r in reps),
+            fallback_used=any(r.fallback_used for r in reps))
     else:
         raise ValueError("unknown snapshot policy %r" % snapshot_policy)
 
@@ -312,7 +295,6 @@ def copra_gammas(es, split, a_presumed, snapshots, opts=SolverOptions(),
         gamma_z=report_z.gamma,
         report_b=report_b,
         report_z=report_z,
-        lambda_o_sq_b=lambda_o_sq(report_b.gamma, es, a_presumed),
     )
 
 
@@ -330,26 +312,3 @@ def lambda_o_sq(gamma, es, r):
     if denom == 0.0:
         raise ValueError("observation vector is zero")
     return float(np.sum(es.eigenvalues * d2 / shifted**2) / denom)
-
-
-def rls_mse(gamma, es, c_xx, noise_power):
-    """Exact mean-squared error of the regularized estimator on a known system.
-
-    Test-support oracle: requires the (normally unknown) signal covariance
-    c_xx and noise power.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    lam = es.eigenvalues
-    shifted = lam + gamma
-    m = es.u.conj().T @ np.asarray(c_xx, dtype=complex) @ es.u
-    noise_term = noise_power * np.sum(lam / shifted**2)
-    bias_term = gamma**2 * np.sum(np.real(np.diag(m)) / shifted**2)
-    return float(noise_term + bias_term)
-
-
-def gamma_mse_approx(c_xx_trace, noise_power, n):
-    """Closed-form approximate MSE minimizer: n * noise_power / trace(c_xx)."""
-    if c_xx_trace <= 0:
-        raise ValueError("c_xx_trace must be positive")
-    return n * noise_power / c_xx_trace

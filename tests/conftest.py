@@ -1,9 +1,13 @@
-"""Shared test helpers: random matrix factories and independent dense-matrix
-oracles for the eigenvalue-sum implementations.
+"""Shared test helpers: random matrix factories, independent dense-matrix
+oracles for the eigenvalue-sum implementations, and the test-only oracles of
+the regularized least-squares problem (MSE formulas, LS/RLS estimators, the
+worst-case robust cost and its gradient, spectral helpers).
 """
 
 import numpy as np
 
+from copra_beam import secular
+from copra_beam.beamformers import SingularCovarianceError
 from copra_beam.linalg import hermitian_evd
 
 
@@ -88,8 +92,6 @@ def grid_scan_root(split, weights, n_points=10**6, lo_factor=1e-9, hi_factor=1e3
 
     Returns None when no sign change exists on the scanned interval.
     """
-    from copra_beam.secular import secular_function_weighted
-
     mean_lam = split.es.eigenvalues.mean()
     grid = np.geomspace(lo_factor * mean_lam, hi_factor * mean_lam, n_points)
     # scan in chunks and stop at the first sign change; identical result to
@@ -109,7 +111,7 @@ def grid_scan_root(split, weights, n_points=10**6, lo_factor=1e-9, hi_factor=1e3
         return None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if np.sign(secular_function_weighted(mid, split, weights)) == s_lo:
+        if np.sign(secular.secular_function_weighted(mid, split, weights)) == s_lo:
             lo = mid
         else:
             hi = mid
@@ -120,3 +122,114 @@ def grid_scan_root(split, weights, n_points=10**6, lo_factor=1e-9, hi_factor=1e3
 
 def eigensystem_of(matrix):
     return hermitian_evd(matrix)
+
+
+def reconstruct(es):
+    """Dense matrix U diag(eigenvalues) U^H."""
+    return (es.u * es.eigenvalues) @ es.u.conj().T
+
+
+def matrix_sqrt_eigs(es):
+    """Singular values of the decomposed matrix: element-wise sqrt of eigenvalues."""
+    return np.sqrt(es.eigenvalues)
+
+
+def apply_filtered(es, f, v):
+    """Apply the spectral map U diag(f(lambda_i)) U^H to a vector.
+
+    Raises ValueError on a dimension mismatch or non-finite filter values.
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (es.n,):
+        raise ValueError("vector length %s does not match system size %d" % (v.shape, es.n))
+    fl = np.asarray(f(es.eigenvalues), dtype=float)
+    if not np.all(np.isfinite(fl)):
+        raise ValueError("spectral map produced non-finite values")
+    return es.u @ (fl * (es.u.conj().T @ v))
+
+
+def secular_derivative_weighted(gamma, split, weights):
+    """Analytic dG/dgamma from the closed-form eigenvalue sums."""
+    return secular._secular_terms(gamma, split, np.asarray(weights, dtype=float))[1]
+
+
+def secular_scale(gamma, split, weights):
+    """Zero-detection scale of G(gamma)."""
+    return secular._secular_terms(gamma, split, weights)[2]
+
+
+def rls_mse(gamma, es, c_xx, noise_power):
+    """Exact mean-squared error of the regularized estimator on a known system.
+
+    Needs the (normally unknown) signal covariance c_xx and noise power.
+    """
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    lam = es.eigenvalues
+    shifted = lam + gamma
+    m = es.u.conj().T @ np.asarray(c_xx, dtype=complex) @ es.u
+    noise_term = noise_power * np.sum(lam / shifted**2)
+    bias_term = gamma**2 * np.sum(np.real(np.diag(m)) / shifted**2)
+    return float(noise_term + bias_term)
+
+
+def gamma_mse_approx(c_xx_trace, noise_power, n):
+    """Closed-form approximate MSE minimizer: n * noise_power / trace(c_xx)."""
+    if c_xx_trace <= 0:
+        raise ValueError("c_xx_trace must be positive")
+    return n * noise_power / c_xx_trace
+
+
+def ls_estimate(es, r):
+    """Unregularized solve of A x = r for Hermitian PSD A with A^2 = C."""
+    lam = es.eigenvalues
+    if lam[-1] <= 0:
+        raise SingularCovarianceError("system matrix is singular")
+    r = np.asarray(r, dtype=complex)
+    return es.u @ ((es.u.conj().T @ r) / np.sqrt(lam))
+
+
+def rls_estimate(es, r, gamma):
+    """Regularized solve: x = U (lam + gamma)^{-1} sqrt(lam) U^H r."""
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    lam = es.eigenvalues
+    if gamma == 0 and lam[-1] <= 0:
+        raise SingularCovarianceError("gamma = 0 requires an invertible spectrum")
+    r = np.asarray(r, dtype=complex)
+    filt = np.sqrt(lam) / (lam + gamma)
+    return es.u @ (filt * (es.u.conj().T @ r))
+
+
+def _sqrt_apply(es, x):
+    lam = np.sqrt(es.eigenvalues)
+    return es.u @ (lam * (es.u.conj().T @ x))
+
+
+def worst_case_cost(x, r, es, bound):
+    """Robust cost: residual norm plus bound times solution norm."""
+    if bound < 0:
+        raise ValueError("perturbation bound must be >= 0")
+    x = np.asarray(x, dtype=complex)
+    r = np.asarray(r, dtype=complex)
+    return float(np.linalg.norm(r - _sqrt_apply(es, x)) + bound * np.linalg.norm(x))
+
+
+def worst_case_gradient(x, r, es, bound):
+    """Gradient of the robust cost with respect to the complex solution vector.
+
+    Components are d/dRe + i d/dIm of the real cost. Both norms in the
+    denominators must be nonzero.
+    """
+    x = np.asarray(x, dtype=complex)
+    r = np.asarray(r, dtype=complex)
+    resid = r - _sqrt_apply(es, x)
+    resid_norm = np.linalg.norm(resid)
+    x_norm = np.linalg.norm(x)
+    scale = np.linalg.norm(r)
+    if resid_norm <= 1e-12 * scale:
+        raise ValueError("residual norm vanished; gradient undefined")
+    if x_norm <= 1e-12 * scale:
+        raise ValueError("solution norm vanished; gradient undefined")
+    c_x = es.u @ (es.eigenvalues * (es.u.conj().T @ x))
+    return (c_x + bound * resid_norm * x / x_norm - _sqrt_apply(es, r)) / resid_norm

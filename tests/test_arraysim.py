@@ -41,6 +41,8 @@ def test_geometry_validation():
         ArrayGeometry(1, 0.5)
     with pytest.raises(ValueError):
         ArrayGeometry(4, 0.0)
+    with pytest.raises(ValueError):
+        ArrayGeometry(4, np.inf)
 
 
 def test_zero_error_bound_gives_exact_presumed():
@@ -48,6 +50,17 @@ def test_zero_error_bound_gives_exact_presumed():
     sc = draw_scenario(rng, soi_error_bound_deg=0.0)
     assert sc.soi_error_deg == 0.0
     assert np.array_equal(sc.a_presumed, sc.a_true)
+
+
+def test_recorded_error_is_the_applied_error():
+    # near endfire the look direction is clipped to +-90 degrees; the recorded
+    # error must be the one a_presumed was built with
+    rng = np.random.default_rng(6)
+    geo = ArrayGeometry()
+    for _ in range(3000):
+        sc = draw_scenario(rng, geometry=geo, n_interferers=0)
+        presumed = steering_vector(geo, sc.soi_doa_deg + sc.soi_error_deg)
+        assert np.array_equal(presumed, sc.a_presumed)
 
 
 def test_scenario_determinism():

@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_complex_vector, random_psd
+from conftest import (
+    ls_estimate,
+    random_complex_vector,
+    random_psd,
+    rls_estimate,
+    worst_case_cost,
+    worst_case_gradient,
+)
 from copra_beam.arraysim import (
     ArrayGeometry,
     draw_scenario,
@@ -16,13 +23,9 @@ from copra_beam.beamformers import (
     SingularCovarianceError,
     copra_weights,
     diagonal_loading_weights,
-    ls_estimate,
     mvdr_weights,
     optimal_weights,
     quasi_optimal_gamma,
-    rls_estimate,
-    worst_case_cost,
-    worst_case_gradient,
 )
 from copra_beam.harness import output_sinr
 from copra_beam.linalg import HermitianEigensystem, hermitian_evd

@@ -70,6 +70,26 @@ class TestConfig:
             with pytest.raises(ValueError, match="doa_guard_deg"):
                 load_config(str(path))
 
+    @pytest.mark.parametrize("doc, field", [
+        ('{"snr_db": NaN}', "snr_db"),
+        ('{"inr_db": Infinity}', "inr_db"),
+        ('{"inr_db": NaN}', "inr_db"),
+        ('{"snr_db_grid": [0.0, -Infinity]}', "snr_db_grid"),
+        ('{"n_elements": 1}', "n_elements"),
+        ('{"spacing_wavelengths": Infinity}', "spacing_wavelengths"),
+        ('{"snapshot_grid": [10, 0]}', "snapshot_grid"),
+        ('{"soi_error_bound_deg": Infinity}', "soi_error_bound_deg"),
+        ('{"quasi_grid": {"points": 1}}', "quasi_grid"),
+        ('{"quasi_grid": {"lo_factor": 0.0}}', "quasi_grid"),
+        ('{"quasi_grid": {"lo_factor": 20.0}}', "quasi_grid"),
+        ('{"quasi_grid": {"hi_factor": Infinity}}', "quasi_grid"),
+    ])
+    def test_bad_values_refused_at_load(self, tmp_path, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError, match=field):
+            load_config(str(path))
+
     def test_quasi_grid_nested(self):
         cfg = config_from_dict({"quasi_grid": {"points": 50}})
         assert cfg.quasi_grid.points == 50

@@ -91,6 +91,12 @@ class TestRunTrial:
         assert rec.mvdr_loaded
         assert rec.sinr["sample-mvdr"] is not None
 
+    def test_split_recorded_only_for_copra(self):
+        rec = run_trial(_fast_cfg(), 0, 7)
+        assert rec.n1 >= 1 and rec.n1 + rec.n2 == 10
+        rec = run_trial(_fast_cfg(methods=("optimal",)), 0, 7)
+        assert (rec.n1, rec.n2) == (None, None)
+
     def test_wide_doa_guard_completes(self):
         cfg = _fast_cfg(trials=1, doa_guard_deg=89.0)
         rec = run_trial(cfg, 0, 1)
@@ -106,6 +112,7 @@ class TestRunTrial:
         rec = run_trial(_fast_cfg(), 0, 1)
         assert rec.sinr["copra"] is None
         assert "all-zero spectrum" in rec.failures["copra"]
+        assert "all-zero spectrum" in rec.failures["quasi-rls"]
         assert rec.sinr["optimal"] is not None
 
     def test_zero_error_large_sample_mvdr_near_optimal(self):

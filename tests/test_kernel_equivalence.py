@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_quasi_gamma, random_complex_vector, random_psd
+from conftest import dense_quasi_gamma, random_complex_vector, random_psd, secular_scale
 from copra_beam import arraysim, secular
 from copra_beam.beamformers import quasi_optimal_gamma
 from copra_beam.linalg import HermitianEigensystem, hermitian_evd
@@ -63,7 +63,7 @@ def test_broadcast_scan_matches_scalar_kernel(case):
         vals, _, scales = secular._secular_terms(grid, split, weights)
         scalar_vals = np.array([secular.secular_function_weighted(x, split, weights)
                                 for x in grid])
-        scalar_scales = np.array([secular._secular_scale(x, split, weights)
+        scalar_scales = np.array([secular_scale(x, split, weights)
                                   for x in grid])
         assert vals.tobytes() == scalar_vals.tobytes()
         assert scales.tobytes() == scalar_scales.tobytes()

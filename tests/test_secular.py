@@ -3,19 +3,19 @@ import pytest
 
 from conftest import (
     dense_secular_value,
+    gamma_mse_approx,
     grid_scan_root,
     random_complex_vector,
     random_psd,
+    rls_mse,
+    secular_derivative_weighted,
 )
 from copra_beam.arraysim import draw_scenario, sample_covariance, synthesize_snapshots
 from copra_beam.linalg import HermitianEigensystem, hermitian_evd
 from copra_beam.secular import (
     SolverOptions,
     copra_gammas,
-    gamma_mse_approx,
     lambda_o_sq,
-    rls_mse,
-    secular_derivative_weighted,
     secular_function,
     secular_function_weighted,
     solve_secular,
@@ -189,6 +189,8 @@ class TestCopraGammas:
         med = copra_gammas(es, split, sc.a_presumed, ss,
                            snapshot_policy="per-snapshot-median")
         assert avg.gamma_z == pytest.approx(med.gamma_z, rel=1e-9)
+        for flag in ("converged", "fallback_used"):
+            assert getattr(avg.report_z, flag) == getattr(med.report_z, flag), flag
 
     def test_deterministic(self):
         sc, ss, es, split = self._setup(59, 30)
