@@ -3,7 +3,8 @@ snapshot synthesis, and covariance construction.
 
 Angles are degrees at the API boundary and radians internally. All randomness
 flows through an explicit numpy Generator so trials are reproducible and may
-be generated concurrently.
+be generated concurrently. The covariance functions also take a stack of
+trials along a leading lane axis; each lane gets the bits of a single call.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +21,8 @@ __all__ = [
     "sample_covariance",
     "interference_noise_covariance",
     "true_covariance",
+    "interference_noise_lanes",
+    "true_covariance_lanes",
 ]
 
 
@@ -58,13 +61,16 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SnapshotSet:
-    """n_elements x n_snapshots matrix of array observations; column t is y[t]."""
+    """n_elements x n_snapshots matrix of array observations; column t is y[t].
+
+    A (lanes, n_elements, n_snapshots) array holds one set per lane.
+    """
 
     snapshots: np.ndarray
 
     @property
     def n_snapshots(self):
-        return self.snapshots.shape[1]
+        return self.snapshots.shape[-1]
 
 
 def steering_vector(geometry, doa_deg):
@@ -75,8 +81,14 @@ def steering_vector(geometry, doa_deg):
     """
     if not -90.0 <= doa_deg <= 90.0:
         raise ValueError("DOA %g deg outside [-90, 90]" % doa_deg)
+    return _steering(geometry, doa_deg)
+
+
+def _steering(geometry, doas_deg):
+    """Steering vectors along a new last axis, one per DOA of an array."""
     p = np.arange(geometry.n_elements)
-    phase = 2.0 * np.pi * geometry.spacing_wavelengths * p * np.sin(np.deg2rad(doa_deg))
+    phase = (2.0 * np.pi * geometry.spacing_wavelengths * p
+             * np.sin(np.deg2rad(doas_deg))[..., None])
     return np.exp(1j * phase)
 
 
@@ -169,27 +181,50 @@ def synthesize_snapshots(scenario, n_s, rng):
 
 
 def sample_covariance(snapshot_set):
-    """Empirical covariance (1/n_s) sum_t y[t] y[t]^H; Hermitian PSD."""
+    """Empirical covariance (1/n_s) sum_t y[t] y[t]^H; Hermitian PSD.
+
+    A set of stacked lanes gives the stack of their covariances.
+    """
     y = snapshot_set.snapshots
-    if y.shape[1] < 1:
+    if y.shape[-1] < 1:
         raise ValueError("snapshot set is empty")
-    c = (y @ y.conj().T) / y.shape[1]
+    c = (y @ y.conj().swapaxes(-1, -2)) / y.shape[-1]
     # symmetrize away the last bits of round-off
-    return 0.5 * (c + c.conj().T)
+    return 0.5 * (c + c.conj().swapaxes(-1, -2))
+
+
+def _outer(powers, a):
+    """powers * a a^H for every lane of a (lanes, n) stack."""
+    return powers[:, None, None] * (a[:, :, None] * a.conj()[:, None, :])
+
+
+def interference_noise_lanes(scenarios):
+    """(lanes, n, n) interference-plus-noise covariances, one per scenario.
+
+    Every scenario has the same geometry and number of interferers.
+    """
+    geometry = scenarios[0].geometry
+    noise = np.array([sc.noise_power for sc in scenarios])
+    doas = np.array([sc.interferer_doas_deg for sc in scenarios], dtype=float)
+    powers = np.array([sc.interferer_powers for sc in scenarios], dtype=float)
+    a = _steering(geometry, doas)
+    c = noise[:, None, None] * np.eye(geometry.n_elements, dtype=complex)
+    for k in range(doas.shape[1]):
+        c += _outer(powers[:, k], a[:, k])
+    return c
+
+
+def true_covariance_lanes(scenarios, c_in):
+    """Ensemble covariances: the lanes' interference + noise c_in plus the SOI term."""
+    a = np.array([sc.a_true for sc in scenarios])
+    return c_in + _outer(np.array([sc.soi_power for sc in scenarios]), a)
 
 
 def interference_noise_covariance(scenario):
     """Covariance of interference plus noise, built from true interferer directions."""
-    n_e = scenario.geometry.n_elements
-    c = scenario.noise_power * np.eye(n_e, dtype=complex)
-    for doa, power in zip(scenario.interferer_doas_deg, scenario.interferer_powers):
-        a_k = steering_vector(scenario.geometry, doa)
-        c += power * np.outer(a_k, a_k.conj())
-    return c
+    return interference_noise_lanes([scenario])[0]
 
 
 def true_covariance(scenario):
     """Ensemble covariance of the snapshots: interference + noise + SOI term."""
-    c = interference_noise_covariance(scenario)
-    c += scenario.soi_power * np.outer(scenario.a_true, scenario.a_true.conj())
-    return c
+    return true_covariance_lanes([scenario], interference_noise_lanes([scenario]))[0]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .arraysim import ArrayGeometry
@@ -10,6 +11,21 @@ from .arraysim import ArrayGeometry
 __all__ = ["ExperimentConfig", "QuasiGridOptions", "load_config", "config_from_dict"]
 
 METHODS = ("sample-mvdr", "diagonal-loading", "copra", "quasi-rls", "optimal")
+
+
+def _check_types(obj, prefix=""):
+    """Refuse a field declared int or float whose value is not such a number.
+
+    bool is an int to Python but never a count or a level here, and a string
+    or None would otherwise surface as a TypeError deep in the checks.
+    """
+    for f in dataclasses.fields(obj):
+        kind = {int: numbers.Integral, float: numbers.Real}.get(f.type)
+        value = getattr(obj, f.name)
+        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError("%s%s must be %s, got %r"
+                             % (prefix, f.name,
+                                "an integer" if f.type is int else "a number", value))
 
 
 @dataclass(frozen=True)
@@ -21,6 +37,7 @@ class QuasiGridOptions:
     hi_factor: float = 10.0
 
     def __post_init__(self):
+        _check_types(self, "quasi_grid.")
         if self.points < 2:
             raise ValueError("quasi_grid.points must be >= 2")
         if not 0.0 < self.lo_factor < self.hi_factor < math.inf:
@@ -57,6 +74,14 @@ class ExperimentConfig:
     gamma_z_policy: str = "averaged"
 
     def __post_init__(self):
+        _check_types(self)
+        for name, kind in (("snr_db_grid", numbers.Real), ("snapshot_grid", numbers.Integral)):
+            if not all(isinstance(v, kind) and not isinstance(v, bool)
+                       for v in getattr(self, name)):
+                raise ValueError("%s entries must be %s" % (
+                    name, "numbers" if kind is numbers.Real else "integers"))
+        if not isinstance(self.quasi_grid, QuasiGridOptions):
+            raise ValueError("quasi_grid must be an object of grid options")
         for name in ("trials", "n_snapshots", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be positive" % name)
@@ -77,8 +102,8 @@ class ExperimentConfig:
         if not 0.0 <= self.doa_guard_deg < 90.0:
             raise ValueError("doa_guard_deg must lie in [0, 90), got %g"
                              % self.doa_guard_deg)
-        if self.diagonal_loading < 0:
-            raise ValueError("diagonal_loading must be >= 0")
+        if not 0.0 <= self.diagonal_loading < math.inf:
+            raise ValueError("diagonal_loading must be finite and >= 0")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError("unknown methods: %s" % sorted(unknown))
@@ -106,11 +131,11 @@ def config_from_dict(data):
         if qunknown:
             raise ValueError("unknown quasi_grid keys: %s" % sorted(qunknown))
         kwargs["quasi_grid"] = QuasiGridOptions(**kwargs["quasi_grid"])
-    for key in ("snr_db_grid", "methods"):
+    for key in ("snr_db_grid", "snapshot_grid", "methods"):
         if key in kwargs:
+            if not isinstance(kwargs[key], (list, tuple)):
+                raise ValueError("%s must be a list" % key)
             kwargs[key] = tuple(kwargs[key])
-    if "snapshot_grid" in kwargs:
-        kwargs["snapshot_grid"] = tuple(int(v) for v in kwargs["snapshot_grid"])
     return ExperimentConfig(**kwargs)
 
 

@@ -83,6 +83,14 @@ class TestConfig:
         ('{"quasi_grid": {"lo_factor": 0.0}}', "quasi_grid"),
         ('{"quasi_grid": {"lo_factor": 20.0}}', "quasi_grid"),
         ('{"quasi_grid": {"hi_factor": Infinity}}', "quasi_grid"),
+        ('{"diagonal_loading": NaN}', "diagonal_loading"),
+        ('{"diagonal_loading": Infinity}', "diagonal_loading"),
+        ('{"snr_db": "20"}', "snr_db"),
+        ('{"trials": "3"}', "trials"),
+        ('{"rho": null}', "rho"),
+        ('{"workers": true}', "workers"),
+        ('{"snapshot_grid": [10, "20"]}', "snapshot_grid"),
+        ('{"quasi_grid": {"points": null}}', "quasi_grid"),
     ])
     def test_bad_values_refused_at_load(self, tmp_path, doc, field):
         path = tmp_path / "bad.json"

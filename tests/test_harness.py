@@ -107,8 +107,12 @@ class TestRunTrial:
     def test_zero_spectrum_fails_methods_not_trial(self, monkeypatch):
         # an all-zero spectrum cannot be split: copra is recorded as failed
         # and the trial still returns
-        zero = HermitianEigensystem(np.eye(10, dtype=complex), np.zeros(10))
-        monkeypatch.setattr(harness, "hermitian_evd", lambda c: zero)
+        # the fake, like hermitian_evd, returns a stack for a stack
+        def zero(c):
+            return HermitianEigensystem(
+                np.broadcast_to(np.eye(10, dtype=complex), c.shape).copy(),
+                np.zeros(c.shape[:-1]))
+        monkeypatch.setattr(harness, "hermitian_evd", zero)
         rec = run_trial(_fast_cfg(), 0, 1)
         assert rec.sinr["copra"] is None
         assert "all-zero spectrum" in rec.failures["copra"]
