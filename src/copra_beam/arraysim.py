@@ -3,10 +3,16 @@ snapshot synthesis, and covariance construction.
 
 Angles are degrees at the API boundary and radians internally. All randomness
 flows through an explicit numpy Generator so trials are reproducible and may
-be generated concurrently. The covariance functions also take a stack of
-trials along a leading lane axis; each lane gets the bits of a single call.
+be generated concurrently. draw_trials draws a block of trials as lanes along
+a leading axis: per trial run only its generator's scalar draws (the DOAs
+with their guard redraws, then the look error) and one call for all of its
+Gaussian draws; the steering vectors, powers and snapshot sums run once over
+the block. draw_scenario and synthesize_snapshots are its one-lane case. The
+covariance functions also take a block of lanes; each lane gets the bits of
+a single call.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,10 +20,12 @@ import numpy as np
 __all__ = [
     "ArrayGeometry",
     "Scenario",
+    "ScenarioLanes",
     "SnapshotSet",
     "steering_vector",
     "draw_scenario",
     "synthesize_snapshots",
+    "draw_trials",
     "sample_covariance",
     "interference_noise_covariance",
     "true_covariance",
@@ -60,6 +68,45 @@ class Scenario:
 
 
 @dataclass(frozen=True)
+class ScenarioLanes:
+    """The scenarios of a block of trials, one per lane along a leading axis.
+
+    Each field of Scenario as a lane array, interferer DOAs and powers as
+    (lanes, n_interferers), plus the interferers' steering vectors
+    a_interferers, (lanes, n_interferers, n_elements). Indexing with a slice
+    or an index array gives the block of those lanes.
+    """
+
+    geometry: ArrayGeometry
+    soi_doa_deg: np.ndarray
+    soi_error_deg: np.ndarray
+    interferer_doas_deg: np.ndarray
+    soi_power: np.ndarray
+    interferer_powers: np.ndarray
+    noise_power: np.ndarray
+    a_true: np.ndarray = field(repr=False)
+    a_presumed: np.ndarray = field(repr=False)
+    a_interferers: np.ndarray = field(repr=False)
+
+    def __getitem__(self, lanes):
+        return dataclasses.replace(self, **{
+            f.name: getattr(self, f.name)[lanes]
+            for f in dataclasses.fields(self) if f.name != "geometry"})
+
+    @classmethod
+    def of(cls, scenario):
+        """The one-lane block of a Scenario; interferer steering comes from its DOAs."""
+        lane = {f.name: np.array([getattr(scenario, f.name)],
+                                 dtype=complex if f.name.startswith("a_") else float)
+                for f in dataclasses.fields(scenario) if f.name != "geometry"}
+        doas = lane["interferer_doas_deg"]
+        if not np.all(np.abs(doas) <= 90.0):
+            raise ValueError("interferer DOAs %s outside [-90, 90]"
+                             % (scenario.interferer_doas_deg,))
+        return cls(scenario.geometry, a_interferers=_steering(scenario.geometry, doas), **lane)
+
+
+@dataclass(frozen=True)
 class SnapshotSet:
     """n_elements x n_snapshots matrix of array observations; column t is y[t].
 
@@ -92,8 +139,63 @@ def _steering(geometry, doas_deg):
     return np.exp(1j * phase)
 
 
+def _check_scenario(n_interferers, snr_db, inr_db, soi_error_bound_deg, doa_guard_deg):
+    if n_interferers < 0:
+        raise ValueError("n_interferers must be >= 0")
+    if soi_error_bound_deg < 0:
+        raise ValueError("soi_error_bound_deg must be >= 0")
+    if not 0.0 <= doa_guard_deg < 90.0:
+        raise ValueError("doa_guard_deg must lie in [0, 90), got %g" % doa_guard_deg)
+    for name, val in (("snr_db", snr_db), ("inr_db", inr_db)):
+        if not np.isfinite(val):
+            raise ValueError("%s must be finite" % name)
+
+
 def _draw_doa(rng):
     return rng.uniform(-90.0, 90.0)
+
+
+def _draw_angles(rng, n_interferers, soi_error_bound_deg, doa_guard_deg):
+    """One trial's scalar draws, in stream order: the SOI DOA, each interferer
+    DOA (redrawn while inside the guard), then the look-direction error.
+
+    Returns the row (SOI DOA, look error, interferer DOAs...).
+    """
+    soi_doa = _draw_doa(rng)
+    interferer_doas = []
+    for _ in range(n_interferers):
+        doa = _draw_doa(rng)
+        while abs(doa - soi_doa) < doa_guard_deg:
+            doa = _draw_doa(rng)
+        interferer_doas.append(doa)
+    if soi_error_bound_deg > 0:
+        error = rng.uniform(-soi_error_bound_deg, soi_error_bound_deg)
+    else:
+        error = 0.0
+    return (soi_doa, error, *interferer_doas)
+
+
+def _scenario_lanes(geometry, angles, snr_db, inr_db):
+    """The block of scenarios of the given per-lane rows of angle draws."""
+    angles = np.array(angles, dtype=float)
+    soi, error, doas = angles[:, 0], angles[:, 1], angles[:, 2:]
+    # the look error actually applied, after clipping the look direction
+    presumed = np.clip(soi + error, -90.0, 90.0)
+    # every direction of the block in one call: SOI, look, then interferers
+    a = _steering(geometry, np.vstack([soi, presumed, doas.T]))
+    lanes, n_interferers = doas.shape
+    return ScenarioLanes(
+        geometry=geometry,
+        soi_doa_deg=soi,
+        soi_error_deg=presumed - soi,
+        interferer_doas_deg=doas,
+        soi_power=np.full(lanes, 10.0 ** (snr_db / 10.0)),
+        interferer_powers=np.full((lanes, n_interferers), 10.0 ** (inr_db / 10.0)),
+        noise_power=np.ones(lanes),
+        a_true=a[0],
+        a_presumed=a[1],
+        a_interferers=a[2:].swapaxes(0, 1),
+    )
 
 
 def draw_scenario(
@@ -112,52 +214,69 @@ def draw_scenario(
     interference never coincides with the look direction; a guard must lie
     in [0, 90) so that every SOI direction leaves the interferers an arc of
     at least 90 - guard degrees. Noise power is fixed at 1, so snr_db and
-    inr_db directly set the source powers.
+    inr_db directly set the source powers. The one-lane case of draw_trials.
     """
-    if n_interferers < 0:
-        raise ValueError("n_interferers must be >= 0")
-    if soi_error_bound_deg < 0:
-        raise ValueError("soi_error_bound_deg must be >= 0")
-    if not 0.0 <= doa_guard_deg < 90.0:
-        raise ValueError("doa_guard_deg must lie in [0, 90), got %g" % doa_guard_deg)
-    for name, val in (("snr_db", snr_db), ("inr_db", inr_db)):
-        if not np.isfinite(val):
-            raise ValueError("%s must be finite" % name)
-
-    soi_doa = _draw_doa(rng)
-    interferer_doas = []
-    for _ in range(n_interferers):
-        doa = _draw_doa(rng)
-        while abs(doa - soi_doa) < doa_guard_deg:
-            doa = _draw_doa(rng)
-        interferer_doas.append(doa)
-
-    if soi_error_bound_deg > 0:
-        error = rng.uniform(-soi_error_bound_deg, soi_error_bound_deg)
-    else:
-        error = 0.0
-    # the look error actually applied, after clipping the look direction
-    presumed_doa = float(np.clip(soi_doa + error, -90.0, 90.0))
-
-    soi_power = 10.0 ** (snr_db / 10.0)
-    interferer_powers = tuple(10.0 ** (inr_db / 10.0) for _ in range(n_interferers))
-
+    _check_scenario(n_interferers, snr_db, inr_db, soi_error_bound_deg, doa_guard_deg)
+    sl = _scenario_lanes(
+        geometry, [_draw_angles(rng, n_interferers, soi_error_bound_deg, doa_guard_deg)],
+        snr_db, inr_db)
     return Scenario(
         geometry=geometry,
-        soi_doa_deg=soi_doa,
-        soi_error_deg=presumed_doa - soi_doa,
-        interferer_doas_deg=tuple(interferer_doas),
-        soi_power=soi_power,
-        interferer_powers=interferer_powers,
-        noise_power=1.0,
-        a_true=steering_vector(geometry, soi_doa),
-        a_presumed=steering_vector(geometry, presumed_doa),
+        soi_doa_deg=float(sl.soi_doa_deg[0]),
+        soi_error_deg=float(sl.soi_error_deg[0]),
+        interferer_doas_deg=tuple(sl.interferer_doas_deg[0].tolist()),
+        soi_power=float(sl.soi_power[0]),
+        interferer_powers=tuple(sl.interferer_powers[0].tolist()),
+        noise_power=float(sl.noise_power[0]),
+        a_true=sl.a_true[0],
+        a_presumed=sl.a_presumed[0],
     )
 
 
-def _circular_gaussian(rng, shape, power=1.0):
-    scale = np.sqrt(power / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _gaussians(rngs, n_elements, n_interferers, n_s):
+    """(lanes, draws): all of each trial's standard normal draws, one call each.
+
+    Row i holds, in rngs[i]'s stream order, the real then the imaginary
+    parts of the SOI waveform, of each interferer's waveform and of the
+    (n_elements, n_s) noise: the stream of one call per part.
+    """
+    z = np.empty((len(rngs), 2 * (1 + n_interferers + n_elements) * n_s))
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    return z
+
+
+def _circular_gaussian(re, im, power, out=None):
+    """CN(0, power) samples from standard normal real and imaginary parts."""
+    c = np.multiply(1j, im, out=out)
+    np.add(re, c, out=c)
+    return np.multiply(np.sqrt(power / 2.0), c, out=c)
+
+
+def _synthesize(sl, z, n_s):
+    """(lanes, n_elements, n_s) snapshots of a block of scenarios from their draws z.
+
+    Sums in a fixed order, each over the whole block: the SOI, each
+    interferer, then the noise.
+    """
+    lanes, n_e = sl.a_true.shape
+    n_sources = 1 + sl.a_interferers.shape[1]
+    waves = z[:, :2 * n_sources * n_s].reshape(lanes, n_sources, 2, n_s)
+    noise = z[:, 2 * n_sources * n_s:].reshape(lanes, 2, n_e, n_s)
+    powers = np.concatenate([sl.soi_power[:, None], sl.interferer_powers], axis=1)
+    scales = np.sqrt(powers).astype(complex)
+    a = np.concatenate([sl.a_true[:, None], sl.a_interferers], axis=1)
+    s = _circular_gaussian(waves[:, :, 0], waves[:, :, 1], 1.0)
+    y = np.zeros((lanes, n_e, n_s), dtype=complex)
+    # one C-ordered buffer for every term: left to choose, numpy iterates the
+    # outer products in short inner loops once a block passes its buffer
+    # size, and each fresh block-sized array costs page faults
+    term = np.empty_like(y)
+    for k in range(n_sources):
+        np.multiply(a[:, k, :, None], s[:, k, None, :], out=term)
+        y += np.multiply(scales[:, k, None, None], term, out=term)
+    y += _circular_gaussian(noise[:, 0], noise[:, 1], sl.noise_power[:, None, None], out=term)
+    return y
 
 
 def synthesize_snapshots(scenario, n_s, rng):
@@ -165,19 +284,41 @@ def synthesize_snapshots(scenario, n_s, rng):
 
     Source waveforms are i.i.d. circular complex Gaussian CN(0, 1) scaled by
     the square root of each source power; noise is CN(0, noise_power I).
+    The one-lane case of draw_trials.
     """
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
-    n_e = scenario.geometry.n_elements
-    y = np.zeros((n_e, n_s), dtype=complex)
+    sl = ScenarioLanes.of(scenario)
+    z = _gaussians([rng], scenario.geometry.n_elements, len(scenario.interferer_doas_deg), n_s)
+    return SnapshotSet(snapshots=_synthesize(sl, z, n_s)[0])
 
-    s = _circular_gaussian(rng, n_s)
-    y += np.sqrt(scenario.soi_power) * np.outer(scenario.a_true, s)
-    for doa, power in zip(scenario.interferer_doas_deg, scenario.interferer_powers):
-        a_k = steering_vector(scenario.geometry, doa)
-        y += np.sqrt(power) * np.outer(a_k, _circular_gaussian(rng, n_s))
-    y += _circular_gaussian(rng, (n_e, n_s), power=scenario.noise_power)
-    return SnapshotSet(snapshots=y)
+
+def draw_trials(
+    rngs,
+    n_s,
+    geometry=ArrayGeometry(),
+    n_interferers=2,
+    snr_db=20.0,
+    inr_db=30.0,
+    soi_error_bound_deg=5.0,
+    doa_guard_deg=2.0,
+):
+    """Scenarios and snapshots of a block of trials, one lane per generator.
+
+    Lane i holds, bit for bit, what draw_scenario and then
+    synthesize_snapshots(scenario, n_s, rngs[i]) draw from rngs[i]. Only the
+    scalar draws and one call for all Gaussian draws run per trial; the
+    steering vectors, powers and snapshot sums run once over the block.
+    Returns the ScenarioLanes and the (lanes, n_elements, n_s) snapshots.
+    """
+    _check_scenario(n_interferers, snr_db, inr_db, soi_error_bound_deg, doa_guard_deg)
+    if n_s < 1:
+        raise ValueError("n_s must be >= 1")
+    angles = [_draw_angles(rng, n_interferers, soi_error_bound_deg, doa_guard_deg)
+              for rng in rngs]
+    z = _gaussians(rngs, geometry.n_elements, n_interferers, n_s)
+    sl = _scenario_lanes(geometry, angles, snr_db, inr_db)
+    return sl, _synthesize(sl, z, n_s)
 
 
 def sample_covariance(snapshot_set):
@@ -198,33 +339,25 @@ def _outer(powers, a):
     return powers[:, None, None] * (a[:, :, None] * a.conj()[:, None, :])
 
 
-def interference_noise_lanes(scenarios):
-    """(lanes, n, n) interference-plus-noise covariances, one per scenario.
-
-    Every scenario has the same geometry and number of interferers.
-    """
-    geometry = scenarios[0].geometry
-    noise = np.array([sc.noise_power for sc in scenarios])
-    doas = np.array([sc.interferer_doas_deg for sc in scenarios], dtype=float)
-    powers = np.array([sc.interferer_powers for sc in scenarios], dtype=float)
-    a = _steering(geometry, doas)
-    c = noise[:, None, None] * np.eye(geometry.n_elements, dtype=complex)
-    for k in range(doas.shape[1]):
-        c += _outer(powers[:, k], a[:, k])
+def interference_noise_lanes(sl):
+    """(lanes, n, n) interference-plus-noise covariances of a ScenarioLanes block."""
+    c = sl.noise_power[:, None, None] * np.eye(sl.geometry.n_elements, dtype=complex)
+    for k in range(sl.a_interferers.shape[1]):
+        c += _outer(sl.interferer_powers[:, k], sl.a_interferers[:, k])
     return c
 
 
-def true_covariance_lanes(scenarios, c_in):
+def true_covariance_lanes(sl, c_in):
     """Ensemble covariances: the lanes' interference + noise c_in plus the SOI term."""
-    a = np.array([sc.a_true for sc in scenarios])
-    return c_in + _outer(np.array([sc.soi_power for sc in scenarios]), a)
+    return c_in + _outer(sl.soi_power, sl.a_true)
 
 
 def interference_noise_covariance(scenario):
     """Covariance of interference plus noise, built from true interferer directions."""
-    return interference_noise_lanes([scenario])[0]
+    return interference_noise_lanes(ScenarioLanes.of(scenario))[0]
 
 
 def true_covariance(scenario):
     """Ensemble covariance of the snapshots: interference + noise + SOI term."""
-    return true_covariance_lanes([scenario], interference_noise_lanes([scenario]))[0]
+    sl = ScenarioLanes.of(scenario)
+    return true_covariance_lanes(sl, interference_noise_lanes(sl))[0]

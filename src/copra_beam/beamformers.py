@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraysim import interference_noise_lanes, true_covariance_lanes
+from .arraysim import ScenarioLanes, interference_noise_lanes, true_covariance_lanes
 from .linalg import flag_lanes, hermitian_evd, lanes_matmul, one_lane
 
 __all__ = [
@@ -102,13 +102,13 @@ def copra_lanes(es, gamma_b, gamma_z, a):
     return w, errors
 
 
-def optimal_lanes(scenarios, c_in):
+def optimal_lanes(sl, c_in):
     """Clairvoyant MVDR: true covariance and true steering vector per lane.
 
-    c_in holds the lanes' interference-plus-noise covariances.
+    sl is a ScenarioLanes block and c_in holds its interference-plus-noise
+    covariances.
     """
-    a_true = np.array([sc.a_true for sc in scenarios])
-    return mvdr_lanes(hermitian_evd(true_covariance_lanes(scenarios, c_in)), a_true)
+    return mvdr_lanes(hermitian_evd(true_covariance_lanes(sl, c_in)), sl.a_true)
 
 
 def quasi_lanes(es, observations, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
@@ -175,7 +175,8 @@ def copra_weights(es, gamma_b, gamma_z, a):
 
 def optimal_weights(scenario):
     """Clairvoyant MVDR: true covariance and true steering vector."""
-    w = one_lane(*optimal_lanes([scenario], interference_noise_lanes([scenario])))
+    sl = ScenarioLanes.of(scenario)
+    w = one_lane(*optimal_lanes(sl, interference_noise_lanes(sl)))
     return BeamformerWeights(w=w, method="optimal")
 
 

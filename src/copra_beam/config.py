@@ -28,6 +28,14 @@ def _check_types(obj, prefix=""):
                                 "an integer" if f.type is int else "a number", value))
 
 
+def _finite_power(level_db):
+    """Whether a dB level and the power 10**(level_db/10) it sets are finite."""
+    try:
+        return math.isfinite(level_db) and math.isfinite(10.0 ** (level_db / 10.0))
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class QuasiGridOptions:
     """Geometric grid for the quasi-optimality selector."""
@@ -91,10 +99,13 @@ class ExperimentConfig:
         if self.n_interferers < 0:
             raise ValueError("n_interferers must be >= 0")
         for name in ("snr_db", "inr_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("%s must be finite" % name)
-        if not all(map(math.isfinite, self.snr_db_grid)):
-            raise ValueError("snr_db_grid entries must be finite")
+            if not _finite_power(getattr(self, name)):
+                raise ValueError("%s must be finite, with a finite power 10**(%s/10)"
+                                 % (name, name))
+        if not all(map(_finite_power, self.snr_db_grid)):
+            raise ValueError("snr_db_grid entries must be finite, with finite powers")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % self.seed)
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1), got %g" % self.rho)
         if not 0.0 <= self.soi_error_bound_deg < math.inf:

@@ -4,12 +4,13 @@ Each trial derives an independent random substream from (master seed, trial
 index) via numpy's SeedSequence, and trials run in blocks as the lanes of
 one array program whose lanes do not see each other, so aggregate results
 are bit-identical regardless of execution order, block split or worker
-count. Within a sweep point all methods see the same scenario and noise
+count. Per trial run only its substream's generator and draws; the block's
+steering vectors and snapshot sums, and every later stage, run once over
+the block. Within a sweep point all methods see the same scenario and noise
 realizations (paired comparison).
 """
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -98,9 +99,9 @@ def output_sinr(w, scenario):
     wv = w.w if hasattr(w, "w") else np.asarray(w, dtype=complex)
     if not np.any(wv):
         raise ValueError("weight vector is zero")
-    c_in = arraysim.interference_noise_lanes([scenario])
-    return float(_sinr_lanes(wv[None, None], c_in, scenario.a_true[None],
-                             np.array([scenario.soi_power]))[0, 0])
+    sl = arraysim.ScenarioLanes.of(scenario)
+    c_in = arraysim.interference_noise_lanes(sl)
+    return float(_sinr_lanes(wv[None, None], c_in, sl.a_true, sl.soi_power)[0, 0])
 
 
 # lanes per block: enough to spread numpy's per-call cost, few enough that the
@@ -113,42 +114,41 @@ def _trial_rng(master_seed, trial_index):
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(trial_index)]))
 
 
-def _draw(cfg, trial_index, master_seed):
-    """The scenario and snapshots of one trial, from its own substream."""
-    rng = _trial_rng(master_seed, trial_index)
-    geometry = arraysim.ArrayGeometry(cfg.n_elements, cfg.spacing_wavelengths)
-    scenario = arraysim.draw_scenario(
-        rng, geometry=geometry, n_interferers=cfg.n_interferers,
-        snr_db=cfg.snr_db, inr_db=cfg.inr_db,
-        soi_error_bound_deg=cfg.soi_error_bound_deg,
-        doa_guard_deg=cfg.doa_guard_deg)
-    snapshots = arraysim.synthesize_snapshots(scenario, cfg.n_snapshots, rng)
-    return int(trial_index), scenario, snapshots.snapshots
+def _draw_block(cfg, indices, master_seed):
+    """The ScenarioLanes and snapshots of a block of trials, each lane from
+    its own trial's substream."""
+    return arraysim.draw_trials(
+        [_trial_rng(master_seed, i) for i in indices], cfg.n_snapshots,
+        geometry=arraysim.ArrayGeometry(cfg.n_elements, cfg.spacing_wavelengths),
+        n_interferers=cfg.n_interferers, snr_db=cfg.snr_db, inr_db=cfg.inr_db,
+        soi_error_bound_deg=cfg.soi_error_bound_deg, doa_guard_deg=cfg.doa_guard_deg)
 
 
 def run_trials(cfg, indices, master_seed):
     """Run the Monte-Carlo trials of the given indices, in that order.
 
-    Each trial draws its scenario and snapshots from its own substream; the
-    trials then run in blocks of BLOCK lanes, each stage over a whole block.
+    The trials run in blocks of BLOCK lanes: each trial draws its scenario
+    and snapshots from its own substream, and every stage from the steering
+    vectors on runs over the whole block.
     A trial's record does not depend on the other trials of its block, so it
     is the same for any index set, order or block split. Per-method failures
     are recorded as missing values; nothing raises, so long sweeps always
     complete.
     """
-    indices = list(indices)
+    indices = [int(i) for i in indices]
     records = []
     for start in range(0, len(indices), BLOCK):
-        draws = [_draw(cfg, i, master_seed) for i in indices[start:start + BLOCK]]
+        block = indices[start:start + BLOCK]
+        sl, y = _draw_block(cfg, block, master_seed)
         try:
-            records += _run_block(cfg, draws)
+            records += _run_block(cfg, block, sl, y)
         except (ValueError, np.linalg.LinAlgError):
-            if len(draws) == 1:
+            if len(block) == 1:
                 raise
             # a stacked eigh fails as a whole when one lane fails: redo the
             # block lane by lane, so that only that lane's method fails
-            for draw in draws:
-                records += _run_block(cfg, [draw])
+            for i in range(len(block)):
+                records += _run_block(cfg, block[i:i + 1], sl[i:i + 1], y[i:i + 1])
     return records
 
 
@@ -157,21 +157,20 @@ def run_trial(cfg, trial_index, master_seed):
     return run_trials(cfg, [trial_index], master_seed)[0]
 
 
-def _run_block(cfg, draws):
-    """The records of a block of drawn trials: decompose once, evaluate all methods."""
-    lanes = len(draws)
-    scenarios = [sc for _, sc, _ in draws]
-    y = np.array([snaps for _, _, snaps in draws])
+def _run_block(cfg, indices, sl, y):
+    """The records of a block of drawn trials: decompose once, evaluate all methods.
+
+    sl is the block's ScenarioLanes and y its (lanes, n, n_s) snapshots.
+    """
+    lanes = len(indices)
     cov = arraysim.sample_covariance(arraysim.SnapshotSet(y))
     es = hermitian_evd(cov)
-    a = np.array([sc.a_presumed for sc in scenarios])
-    c_in = arraysim.interference_noise_lanes(scenarios)
-    a_true = np.array([sc.a_true for sc in scenarios])
-    soi_power = np.array([sc.soi_power for sc in scenarios])
+    a = sl.a_presumed
+    c_in = arraysim.interference_noise_lanes(sl)
 
     weights, method_errors = [], []
     copra = [dict(n1=None, n2=None, gamma_b=float("nan"), gamma_z=float("nan"),
-                  fallback_b=False, fallback_z=False) for _ in draws]
+                  fallback_b=False, fallback_z=False) for _ in indices]
     mvdr_loaded = np.zeros(lanes, dtype=bool)
 
     for method in cfg.methods:
@@ -189,8 +188,7 @@ def _run_block(cfg, draws):
                     for i, e in zip(idx, loaded_errors):
                         errors[i] = e
             elif method == "diagonal-loading":
-                loading = np.array([cfg.diagonal_loading * sc.noise_power
-                                    for sc in scenarios])
+                loading = cfg.diagonal_loading * sl.noise_power
                 w, errors = beamformers.loaded_mvdr_lanes(cov, a, loading)
             elif method == "copra":
                 w = np.zeros_like(a)
@@ -216,7 +214,7 @@ def _run_block(cfg, draws):
                 w, errors = beamformers.copra_lanes(es, gb, gz, a)
                 errors = [eb or ez or e for eb, ez, e in zip(errors_b, errors_z, errors)]
             elif method == "optimal":
-                w, errors = beamformers.optimal_lanes(scenarios, c_in)
+                w, errors = beamformers.optimal_lanes(sl, c_in)
             else:
                 raise ValueError("unknown method %r" % method)
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -227,10 +225,10 @@ def _run_block(cfg, draws):
         method_errors.append(errors)
 
     w = np.stack(weights, axis=1) if weights else np.empty((lanes, 0, a.shape[1]), complex)
-    values = _sinr_lanes(w, c_in, a_true, soi_power).tolist()
+    values = _sinr_lanes(w, c_in, sl.a_true, sl.soi_power).tolist()
     zero = (~w.any(axis=-1)).tolist()
-    sinr = [{} for _ in draws]
-    failures = [{} for _ in draws]
+    sinr = [{} for _ in indices]
+    failures = [{} for _ in indices]
     for m, (method, errors) in enumerate(zip(cfg.methods, method_errors)):
         for i, e in enumerate(errors):
             if e is None and zero[i][m]:
@@ -239,18 +237,20 @@ def _run_block(cfg, draws):
             if e:
                 failures[i][method] = str(e)
 
+    soi_doa, soi_error = sl.soi_doa_deg.tolist(), sl.soi_error_deg.tolist()
+    interferer_doas = sl.interferer_doas_deg.tolist()
     return [
         TrialRecord(
             trial_index=index,
             sinr=sinr[i],
             failures=failures[i],
             mvdr_loaded=bool(mvdr_loaded[i]),
-            soi_doa_deg=sc.soi_doa_deg,
-            soi_error_deg=sc.soi_error_deg,
-            interferer_doas_deg=sc.interferer_doas_deg,
+            soi_doa_deg=soi_doa[i],
+            soi_error_deg=soi_error[i],
+            interferer_doas_deg=tuple(interferer_doas[i]),
             **copra[i],
         )
-        for i, (index, sc, _) in enumerate(draws)
+        for i, index in enumerate(indices)
     ]
 
 
@@ -303,6 +303,9 @@ def run_sweep(cfg, sweep_kind, master_seed=None):
     # one pool for all points, fed whole blocks; map keeps the job order,
     # whatever the worker count
     parallel = cfg.workers > 1 and len(jobs) > 1
+    if parallel:
+        # imported here: only a pool sweep pays for the module's import
+        from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(cfg.workers) if parallel else nullcontext()) as pool:
         done = (pool.map if pool else map)(
             run_trials, *zip(*jobs), [master_seed] * len(jobs))

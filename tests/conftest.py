@@ -1,7 +1,8 @@
 """Shared test helpers: random matrix factories, independent dense-matrix
-oracles for the eigenvalue-sum implementations, and the test-only oracles of
-the regularized least-squares problem (MSE formulas, LS/RLS estimators, the
-worst-case robust cost and its gradient, spectral helpers).
+oracles for the eigenvalue-sum implementations, the one-trial loop form of
+the scenario and snapshot draw, and the test-only oracles of the regularized
+least-squares problem (MSE formulas, LS/RLS estimators, the worst-case
+robust cost and its gradient, spectral helpers).
 """
 
 import numpy as np
@@ -118,6 +119,48 @@ def grid_scan_root(split, weights, n_points=10**6, lo_factor=1e-9, hi_factor=1e3
         if hi - lo <= 1e-14 * mid:
             break
     return 0.5 * (lo + hi)
+
+
+def loop_draw(rng, geometry, n_s, n_interferers, snr_db, inr_db, soi_error_bound_deg,
+              doa_guard_deg):
+    """One trial's scenario fields and snapshots, drawn one piece at a time.
+
+    The loop form of the block draw: one uniform call per angle, one
+    standard_normal call per real or imaginary part, a steering vector per
+    direction and an np.outer per source, summed SOI first, then each
+    interferer, then the noise.
+    """
+    def steering(doa):
+        p = np.arange(geometry.n_elements)
+        return np.exp(1j * (2.0 * np.pi * geometry.spacing_wavelengths * p
+                            * np.sin(np.deg2rad(doa))))
+
+    def circular(shape, power=1.0):
+        scale = np.sqrt(power / 2.0)
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    soi = rng.uniform(-90.0, 90.0)
+    doas = []
+    for _ in range(n_interferers):
+        doa = rng.uniform(-90.0, 90.0)
+        while abs(doa - soi) < doa_guard_deg:
+            doa = rng.uniform(-90.0, 90.0)
+        doas.append(doa)
+    error = (rng.uniform(-soi_error_bound_deg, soi_error_bound_deg)
+             if soi_error_bound_deg > 0 else 0.0)
+    presumed = float(np.clip(soi + error, -90.0, 90.0))
+    fields = dict(
+        soi_doa_deg=soi, soi_error_deg=presumed - soi, interferer_doas_deg=tuple(doas),
+        soi_power=10.0 ** (snr_db / 10.0),
+        interferer_powers=tuple(10.0 ** (inr_db / 10.0) for _ in doas),
+        noise_power=1.0, a_true=steering(soi), a_presumed=steering(presumed))
+
+    y = np.zeros((geometry.n_elements, n_s), dtype=complex)
+    y += np.sqrt(fields["soi_power"]) * np.outer(fields["a_true"], circular(n_s))
+    for doa, power in zip(doas, fields["interferer_powers"]):
+        y += np.sqrt(power) * np.outer(steering(doa), circular(n_s))
+    y += circular((geometry.n_elements, n_s), power=fields["noise_power"])
+    return fields, y
 
 
 def eigensystem_of(matrix):

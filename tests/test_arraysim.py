@@ -1,15 +1,71 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import loop_draw
 from copra_beam.arraysim import (
     ArrayGeometry,
     draw_scenario,
+    draw_trials,
     interference_noise_covariance,
     sample_covariance,
     steering_vector,
     synthesize_snapshots,
     true_covariance,
 )
+
+
+def _bits(value):
+    """Type, shape and exact bits of a number, a tuple of numbers or an array."""
+    a = np.asarray(value)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(n_elements=st.integers(2, 16),
+       n_interferers=st.integers(0, 3),
+       soi_error_bound_deg=st.sampled_from([0.0, 5.0, 30.0]),
+       # a guard near 90 degrees forces many redraws
+       doa_guard_deg=st.one_of(st.just(0.0), st.floats(0.0, 89.0)),
+       n_s=st.integers(1, 24),
+       snr_db=st.floats(-30.0, 40.0),
+       inr_db=st.floats(-10.0, 50.0),
+       seeds=st.lists(st.integers(0, 2**63), min_size=1, max_size=7))
+def test_block_draw_equals_single_trial_draws(n_elements, n_interferers, soi_error_bound_deg,
+                                              doa_guard_deg, n_s, snr_db, inr_db, seeds):
+    # lane i of the block draw holds, bit for bit, what draw_scenario then
+    # synthesize_snapshots draw from the same substream, and what the loop
+    # form draws; all three leave the generator in the same state
+    geometry = ArrayGeometry(n_elements, 0.5)
+    kwargs = dict(geometry=geometry, n_interferers=n_interferers, snr_db=snr_db,
+                  inr_db=inr_db, soi_error_bound_deg=soi_error_bound_deg,
+                  doa_guard_deg=doa_guard_deg)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    sl, y = draw_trials(rngs, n_s, **kwargs)
+    assert y.shape == (len(seeds), n_elements, n_s)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        scenario = draw_scenario(rng, **kwargs)
+        snapshots = synthesize_snapshots(scenario, n_s, rng).snapshots
+        loop_rng = np.random.default_rng(seed)
+        fields, loop_y = loop_draw(loop_rng, geometry, n_s, n_interferers, snr_db, inr_db,
+                                   soi_error_bound_deg, doa_guard_deg)
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+        assert rngs[i].bit_generator.state == rng.bit_generator.state
+        assert scenario.geometry == sl.geometry == geometry
+        for f in dataclasses.fields(scenario):
+            if f.name != "geometry":
+                want = _bits(fields[f.name])
+                assert _bits(getattr(scenario, f.name)) == want, f.name
+                assert _bits(getattr(sl, f.name)[i]) == want, f.name
+        assert _bits(snapshots) == _bits(loop_y)
+        assert _bits(y[i]) == _bits(loop_y)
+        interferers = [steering_vector(geometry, d) for d in scenario.interferer_doas_deg]
+        assert _bits(sl.a_interferers[i]) == _bits(
+            np.array(interferers, dtype=complex).reshape(n_interferers, n_elements))
 
 
 def test_broadside_steering_is_all_ones():

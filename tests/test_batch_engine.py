@@ -123,8 +123,8 @@ def test_zeroed_lane_fails_alone(monkeypatch):
 def test_eigensolver_failure_fails_only_its_lane(monkeypatch):
     # the stacked eigh raises for the whole stack when one lane's true
     # covariance does not converge; the block is redone lane by lane
-    _, scenario, _ = harness._draw(NEIGHBOURS, BAD, SEED)
-    target = arraysim.true_covariance(scenario)
+    sl, _ = harness._draw_block(NEIGHBOURS, [BAD], SEED)
+    target = arraysim.true_covariance_lanes(sl, arraysim.interference_noise_lanes(sl))[0]
     real = np.linalg.eigh
 
     def eigh(a):

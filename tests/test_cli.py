@@ -91,6 +91,10 @@ class TestConfig:
         ('{"workers": true}', "workers"),
         ('{"snapshot_grid": [10, "20"]}', "snapshot_grid"),
         ('{"quasi_grid": {"points": null}}', "quasi_grid"),
+        ('{"seed": -1}', "seed"),
+        ('{"snr_db": 4000}', "snr_db"),
+        ('{"inr_db": 4000.0}', "inr_db"),
+        ('{"snr_db_grid": [0.0, 4000.0]}', "snr_db_grid"),
     ])
     def test_bad_values_refused_at_load(self, tmp_path, doc, field):
         path = tmp_path / "bad.json"
