@@ -35,16 +35,15 @@ def main():
         print("  gamma=%9.3g   G=%+.3e  %s" % (gamma, val, marker))
         prev = val
 
-    diag = copra_gammas(es, split, sc.a_presumed, snaps)
+    report_b, report_z = copra_gammas(split, sc.a_presumed, snaps)
     print("\nsolved regularization levels:")
     print("  gamma_b = %.6g  (converged=%s, %d iterations, fallback=%s)"
-          % (diag.gamma_b, diag.report_b.converged,
-             diag.report_b.iterations, diag.report_b.fallback_used))
+          % (report_b.gamma, report_b.converged,
+             report_b.iterations, report_b.fallback_used))
     print("  gamma_z = %.6g  (converged=%s, fallback=%s)"
-          % (diag.gamma_z, diag.report_z.converged,
-             diag.report_z.fallback_used))
+          % (report_z.gamma, report_z.converged, report_z.fallback_used))
     print("  implied squared perturbation bound: %.6g"
-          % lambda_o_sq(diag.gamma_b, es, sc.a_presumed))
+          % lambda_o_sq(report_b.gamma, es, sc.a_presumed))
     print("\nwhen no positive root exists the solver falls back to "
           "rho * mean(eigenvalues) and flags it, so sweeps never abort.")
 

@@ -3,16 +3,17 @@ snapshot synthesis, and covariance construction.
 
 Angles are degrees at the API boundary and radians internally. All randomness
 flows through an explicit numpy Generator so trials are reproducible and may
-be generated concurrently. draw_trials draws a block of trials as lanes along
-a leading axis: per trial run only its generator's scalar draws (the DOAs
-with their guard redraws, then the look error) and one call for all of its
-Gaussian draws; the steering vectors, powers and snapshot sums run once over
-the block. draw_scenario and synthesize_snapshots are its one-lane case. The
-covariance functions also take a block of lanes; each lane gets the bits of
-a single call.
+be generated concurrently. A Scenario holds one trial or a block of trials
+as lanes along a leading axis. draw_trials draws a block: per trial run only
+its generator's scalar draws (the DOAs with their guard redraws, then the
+look error) and one call for all of its Gaussian draws; the steering
+vectors, powers and snapshot sums run once over the block. draw_scenario and
+synthesize_snapshots are its one-lane case. The covariance functions also
+take a block of lanes; each lane gets the bits of a single call.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,6 @@ import numpy as np
 __all__ = [
     "ArrayGeometry",
     "Scenario",
-    "ScenarioLanes",
     "SnapshotSet",
     "steering_vector",
     "draw_scenario",
@@ -50,31 +50,15 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One realization of sources, powers, and the (mismatched) look direction.
+    """Sources, powers and the (mismatched) look direction of one trial, or
+    of a block of trials with one lane per trial along a leading axis.
 
     a_presumed is the steering vector the beamformer is given; it differs from
-    a_true by the realized look-direction error.
-    """
-
-    geometry: ArrayGeometry
-    soi_doa_deg: float
-    soi_error_deg: float
-    interferer_doas_deg: tuple
-    soi_power: float
-    interferer_powers: tuple
-    noise_power: float
-    a_true: np.ndarray = field(repr=False)
-    a_presumed: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class ScenarioLanes:
-    """The scenarios of a block of trials, one per lane along a leading axis.
-
-    Each field of Scenario as a lane array, interferer DOAs and powers as
-    (lanes, n_interferers), plus the interferers' steering vectors
-    a_interferers, (lanes, n_interferers, n_elements). Indexing with a slice
-    or an index array gives the block of those lanes.
+    a_true by the realized look-direction error. In a block the scalars are
+    (lanes,) arrays, the interferer DOAs and powers (lanes, n_interferers)
+    and the steering vectors (lanes, n_elements). Indexing selects lanes: an
+    integer gives that trial, a slice or an index array the block of those
+    lanes, and None the one-lane block of a trial.
     """
 
     geometry: ArrayGeometry
@@ -86,24 +70,19 @@ class ScenarioLanes:
     noise_power: np.ndarray
     a_true: np.ndarray = field(repr=False)
     a_presumed: np.ndarray = field(repr=False)
-    a_interferers: np.ndarray = field(repr=False)
 
     def __getitem__(self, lanes):
         return dataclasses.replace(self, **{
-            f.name: getattr(self, f.name)[lanes]
+            f.name: np.asarray(getattr(self, f.name))[lanes]
             for f in dataclasses.fields(self) if f.name != "geometry"})
 
-    @classmethod
-    def of(cls, scenario):
-        """The one-lane block of a Scenario; interferer steering comes from its DOAs."""
-        lane = {f.name: np.array([getattr(scenario, f.name)],
-                                 dtype=complex if f.name.startswith("a_") else float)
-                for f in dataclasses.fields(scenario) if f.name != "geometry"}
-        doas = lane["interferer_doas_deg"]
+    @functools.cached_property
+    def a_interferers(self):
+        """The interferers' steering vectors, from their DOAs, along a new last axis."""
+        doas = self.interferer_doas_deg
         if not np.all(np.abs(doas) <= 90.0):
-            raise ValueError("interferer DOAs %s outside [-90, 90]"
-                             % (scenario.interferer_doas_deg,))
-        return cls(scenario.geometry, a_interferers=_steering(scenario.geometry, doas), **lane)
+            raise ValueError("interferer DOAs %s outside [-90, 90]" % (doas,))
+        return _steering(self.geometry, doas)
 
 
 @dataclass(frozen=True)
@@ -181,10 +160,9 @@ def _scenario_lanes(geometry, angles, snr_db, inr_db):
     soi, error, doas = angles[:, 0], angles[:, 1], angles[:, 2:]
     # the look error actually applied, after clipping the look direction
     presumed = np.clip(soi + error, -90.0, 90.0)
-    # every direction of the block in one call: SOI, look, then interferers
-    a = _steering(geometry, np.vstack([soi, presumed, doas.T]))
+    a_true, a_presumed = _steering(geometry, np.vstack([soi, presumed]))
     lanes, n_interferers = doas.shape
-    return ScenarioLanes(
+    return Scenario(
         geometry=geometry,
         soi_doa_deg=soi,
         soi_error_deg=presumed - soi,
@@ -192,9 +170,8 @@ def _scenario_lanes(geometry, angles, snr_db, inr_db):
         soi_power=np.full(lanes, 10.0 ** (snr_db / 10.0)),
         interferer_powers=np.full((lanes, n_interferers), 10.0 ** (inr_db / 10.0)),
         noise_power=np.ones(lanes),
-        a_true=a[0],
-        a_presumed=a[1],
-        a_interferers=a[2:].swapaxes(0, 1),
+        a_true=a_true,
+        a_presumed=a_presumed,
     )
 
 
@@ -217,20 +194,9 @@ def draw_scenario(
     inr_db directly set the source powers. The one-lane case of draw_trials.
     """
     _check_scenario(n_interferers, snr_db, inr_db, soi_error_bound_deg, doa_guard_deg)
-    sl = _scenario_lanes(
+    return _scenario_lanes(
         geometry, [_draw_angles(rng, n_interferers, soi_error_bound_deg, doa_guard_deg)],
-        snr_db, inr_db)
-    return Scenario(
-        geometry=geometry,
-        soi_doa_deg=float(sl.soi_doa_deg[0]),
-        soi_error_deg=float(sl.soi_error_deg[0]),
-        interferer_doas_deg=tuple(sl.interferer_doas_deg[0].tolist()),
-        soi_power=float(sl.soi_power[0]),
-        interferer_powers=tuple(sl.interferer_powers[0].tolist()),
-        noise_power=float(sl.noise_power[0]),
-        a_true=sl.a_true[0],
-        a_presumed=sl.a_presumed[0],
-    )
+        snr_db, inr_db)[0]
 
 
 def _gaussians(rngs, n_elements, n_interferers, n_s):
@@ -260,7 +226,7 @@ def _synthesize(sl, z, n_s):
     interferer, then the noise.
     """
     lanes, n_e = sl.a_true.shape
-    n_sources = 1 + sl.a_interferers.shape[1]
+    n_sources = 1 + sl.interferer_doas_deg.shape[1]
     waves = z[:, :2 * n_sources * n_s].reshape(lanes, n_sources, 2, n_s)
     noise = z[:, 2 * n_sources * n_s:].reshape(lanes, 2, n_e, n_s)
     powers = np.concatenate([sl.soi_power[:, None], sl.interferer_powers], axis=1)
@@ -288,8 +254,8 @@ def synthesize_snapshots(scenario, n_s, rng):
     """
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
-    sl = ScenarioLanes.of(scenario)
-    z = _gaussians([rng], scenario.geometry.n_elements, len(scenario.interferer_doas_deg), n_s)
+    sl = scenario[None]
+    z = _gaussians([rng], scenario.geometry.n_elements, sl.interferer_doas_deg.shape[1], n_s)
     return SnapshotSet(snapshots=_synthesize(sl, z, n_s)[0])
 
 
@@ -309,7 +275,7 @@ def draw_trials(
     synthesize_snapshots(scenario, n_s, rngs[i]) draw from rngs[i]. Only the
     scalar draws and one call for all Gaussian draws run per trial; the
     steering vectors, powers and snapshot sums run once over the block.
-    Returns the ScenarioLanes and the (lanes, n_elements, n_s) snapshots.
+    Returns the block's Scenario and the (lanes, n_elements, n_s) snapshots.
     """
     _check_scenario(n_interferers, snr_db, inr_db, soi_error_bound_deg, doa_guard_deg)
     if n_s < 1:
@@ -340,7 +306,7 @@ def _outer(powers, a):
 
 
 def interference_noise_lanes(sl):
-    """(lanes, n, n) interference-plus-noise covariances of a ScenarioLanes block."""
+    """(lanes, n, n) interference-plus-noise covariances of a block of scenarios."""
     c = sl.noise_power[:, None, None] * np.eye(sl.geometry.n_elements, dtype=complex)
     for k in range(sl.a_interferers.shape[1]):
         c += _outer(sl.interferer_powers[:, k], sl.a_interferers[:, k])
@@ -354,10 +320,10 @@ def true_covariance_lanes(sl, c_in):
 
 def interference_noise_covariance(scenario):
     """Covariance of interference plus noise, built from true interferer directions."""
-    return interference_noise_lanes(ScenarioLanes.of(scenario))[0]
+    return interference_noise_lanes(scenario[None])[0]
 
 
 def true_covariance(scenario):
     """Ensemble covariance of the snapshots: interference + noise + SOI term."""
-    sl = ScenarioLanes.of(scenario)
+    sl = scenario[None]
     return true_covariance_lanes(sl, interference_noise_lanes(sl))[0]

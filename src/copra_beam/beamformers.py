@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraysim import ScenarioLanes, interference_noise_lanes, true_covariance_lanes
+from .arraysim import interference_noise_lanes, true_covariance_lanes
 from .linalg import flag_lanes, hermitian_evd, lanes_matmul, one_lane
 
 __all__ = [
@@ -105,7 +105,7 @@ def copra_lanes(es, gamma_b, gamma_z, a):
 def optimal_lanes(sl, c_in):
     """Clairvoyant MVDR: true covariance and true steering vector per lane.
 
-    sl is a ScenarioLanes block and c_in holds its interference-plus-noise
+    sl is a block of scenarios and c_in holds its interference-plus-noise
     covariances.
     """
     return mvdr_lanes(hermitian_evd(true_covariance_lanes(sl, c_in)), sl.a_true)
@@ -175,7 +175,7 @@ def copra_weights(es, gamma_b, gamma_z, a):
 
 def optimal_weights(scenario):
     """Clairvoyant MVDR: true covariance and true steering vector."""
-    sl = ScenarioLanes.of(scenario)
+    sl = scenario[None]
     w = one_lane(*optimal_lanes(sl, interference_noise_lanes(sl)))
     return BeamformerWeights(w=w, method="optimal")
 

@@ -29,9 +29,9 @@ def _check_types(obj, prefix=""):
 
 
 def _finite_power(level_db):
-    """Whether a dB level and the power 10**(level_db/10) it sets are finite."""
+    """Whether the power 10**(level_db/10) a dB level sets is positive and finite."""
     try:
-        return math.isfinite(level_db) and math.isfinite(10.0 ** (level_db / 10.0))
+        return 0.0 < 10.0 ** (level_db / 10.0) < math.inf
     except OverflowError:
         return False
 
@@ -100,10 +100,10 @@ class ExperimentConfig:
             raise ValueError("n_interferers must be >= 0")
         for name in ("snr_db", "inr_db"):
             if not _finite_power(getattr(self, name)):
-                raise ValueError("%s must be finite, with a finite power 10**(%s/10)"
+                raise ValueError("%s must set a positive finite power 10**(%s/10)"
                                  % (name, name))
         if not all(map(_finite_power, self.snr_db_grid)):
-            raise ValueError("snr_db_grid entries must be finite, with finite powers")
+            raise ValueError("snr_db_grid entries must set positive finite powers")
         if self.seed < 0:
             raise ValueError("seed must be >= 0, got %d" % self.seed)
         if not 0.0 < self.rho < 1.0:

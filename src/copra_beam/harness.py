@@ -99,7 +99,7 @@ def output_sinr(w, scenario):
     wv = w.w if hasattr(w, "w") else np.asarray(w, dtype=complex)
     if not np.any(wv):
         raise ValueError("weight vector is zero")
-    sl = arraysim.ScenarioLanes.of(scenario)
+    sl = scenario[None]
     c_in = arraysim.interference_noise_lanes(sl)
     return float(_sinr_lanes(wv[None, None], c_in, sl.a_true, sl.soi_power)[0, 0])
 
@@ -115,8 +115,8 @@ def _trial_rng(master_seed, trial_index):
 
 
 def _draw_block(cfg, indices, master_seed):
-    """The ScenarioLanes and snapshots of a block of trials, each lane from
-    its own trial's substream."""
+    """The Scenario and snapshots of a block of trials, each lane from its
+    own trial's substream."""
     return arraysim.draw_trials(
         [_trial_rng(master_seed, i) for i in indices], cfg.n_snapshots,
         geometry=arraysim.ArrayGeometry(cfg.n_elements, cfg.spacing_wavelengths),
@@ -160,7 +160,7 @@ def run_trial(cfg, trial_index, master_seed):
 def _run_block(cfg, indices, sl, y):
     """The records of a block of drawn trials: decompose once, evaluate all methods.
 
-    sl is the block's ScenarioLanes and y its (lanes, n, n_s) snapshots.
+    sl is the block's Scenario and y its (lanes, n, n_s) snapshots.
     """
     lanes = len(indices)
     cov = arraysim.sample_covariance(arraysim.SnapshotSet(y))
@@ -196,16 +196,15 @@ def _run_block(cfg, indices, sl, y):
                 errors = flag_lanes([None] * lanes, n1 == 0, lambda i: ValueError(
                     "cannot split an all-zero spectrum"))
                 for idx, split in groups:
-                    diags = secular.copra_gammas_lanes(
+                    reports = secular.copra_gammas_lanes(
                         split, a[idx], y[idx], snapshot_policy=cfg.gamma_z_policy)
                     w[idx], split_errors = beamformers.copra_lanes(
-                        split.es, np.array([d.gamma_b for d in diags]),
-                        np.array([d.gamma_z for d in diags]), a[idx])
-                    for i, d, e in zip(idx, diags, split_errors):
-                        copra[i] = dict(n1=split.n1, n2=split.n2, gamma_b=d.gamma_b,
-                                        gamma_z=d.gamma_z,
-                                        fallback_b=d.report_b.fallback_used,
-                                        fallback_z=d.report_z.fallback_used)
+                        split.es, np.array([b.gamma for b, _ in reports]),
+                        np.array([z.gamma for _, z in reports]), a[idx])
+                    for i, (b, z), e in zip(idx, reports, split_errors):
+                        copra[i] = dict(n1=split.n1, n2=split.n2, gamma_b=b.gamma,
+                                        gamma_z=z.gamma, fallback_b=b.fallback_used,
+                                        fallback_z=z.fallback_used)
                         errors[i] = e
             elif method == "quasi-rls":
                 q = cfg.quasi_grid

@@ -20,8 +20,6 @@ from .linalg import lanes_matmul
 __all__ = [
     "EigenSplit",
     "SecularSolveReport",
-    "CopraDiagnostics",
-    "SolverOptions",
     "split_eigenvalues",
     "split_lanes",
     "secular_function",
@@ -63,33 +61,17 @@ class SecularSolveReport:
     bracket: tuple = None
 
 
-@dataclass(frozen=True)
-class CopraDiagnostics:
-    """Solved regularization pair and the report of each solve."""
-
-    gamma_b: float
-    gamma_z: float
-    report_b: SecularSolveReport
-    report_z: SecularSolveReport
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Safeguarded-Newton controls for the secular equation.
-
-    The bracket comes from a scan_points-point logarithmic sign scan over
-    [scan_lo_factor, scan_hi_factor] * mean(eigenvalues); Newton steps leaving
-    the bracket are replaced by bisection.
-    """
-
-    max_newton_iters: int = 100
-    max_bisect_iters: int = 200
-    gamma_rel_tol: float = 1e-9
-    residual_rel_tol: float = 1e-12
-    init_factor: float = 1e-6
-    scan_points: int = 200
-    scan_lo_factor: float = 1e-9
-    scan_hi_factor: float = 1e3
+# Safeguarded-Newton controls. The bracket comes from a SCAN_POINTS-point
+# logarithmic sign scan over [SCAN_LO_FACTOR, SCAN_HI_FACTOR] *
+# mean(eigenvalues); Newton steps leaving the bracket are replaced by bisection.
+MAX_NEWTON_ITERS = 100
+MAX_BISECT_ITERS = 200
+GAMMA_REL_TOL = 1e-9
+RESIDUAL_REL_TOL = 1e-12
+INIT_FACTOR = 1e-6
+SCAN_POINTS = 200
+SCAN_LO_FACTOR = 1e-9
+SCAN_HI_FACTOR = 1e3
 
 
 def _significant(eigenvalues, rho):
@@ -208,7 +190,7 @@ def secular_function(gamma, split, d):
     return secular_function_weighted(gamma, split, np.abs(d) ** 2)
 
 
-def _solve_lanes(lam, lam1, weights, beta, n2, rho, opts):
+def _solve_lanes(lam, lam1, weights, beta, n2, rho):
     """Solve G(gamma) = 0 on every lane; one SecularSolveReport per lane.
 
     lam, lam1 and weights hold one row per lane, all lanes split at the same
@@ -233,9 +215,9 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho, opts):
     # bracket: first sign change on a log grid; values at round-off scale
     # relative to the constituent trace terms count as zero (degenerate
     # spectra make G identically zero without an isolated root)
-    grid = np.ascontiguousarray(np.geomspace(opts.scan_lo_factor * mean_lam,
-                                             opts.scan_hi_factor * mean_lam,
-                                             opts.scan_points, axis=-1))
+    grid = np.ascontiguousarray(np.geomspace(SCAN_LO_FACTOR * mean_lam,
+                                             SCAN_HI_FACTOR * mean_lam, SCAN_POINTS,
+                                             axis=-1))
     vals, scales = kernel(grid, derivative=False)
     sign = np.sign(vals)
     sign[np.abs(vals) <= 1e-12 * scales] = 0
@@ -262,23 +244,23 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho, opts):
     lam, lam1, weights = lam[lanes], lam1[lanes], weights[lanes]
 
     # G at the initial point and G' at the bracket's low end, in one call
-    start = np.maximum(opts.init_factor * mean_lam[lanes], lo)
+    start = np.maximum(INIT_FACTOR * mean_lam[lanes], lo)
     g, dg = kernel(np.stack([start, lo], axis=1))
-    tol = opts.residual_rel_tol * np.maximum(np.maximum(abs(g[:, 0]), abs(g_lo)), abs(g_hi))
+    tol = RESIDUAL_REL_TOL * np.maximum(np.maximum(abs(g[:, 0]), abs(g_lo)), abs(g_hi))
     x, gx, slope = lo, g_lo, dg[:, 1]
 
-    budget = opts.max_newton_iters + opts.max_bisect_iters
+    budget = MAX_NEWTON_ITERS + MAX_BISECT_ITERS
     # a zero or infinite slope gives a step outside the bracket: bisect
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(budget):
-            newton = it < opts.max_newton_iters
+            newton = it < MAX_NEWTON_ITERS
             mid = 0.5 * (lo + hi)
             if newton:
                 step = x - gx / slope
                 step = np.where(np.isfinite(slope) & (lo < step) & (step < hi), step, mid)
                 g, slope = kernel(step[:, None])
                 g, slope = g[:, 0], slope[:, 0]
-                done = (abs(g) <= tol) | (abs(step - x) <= opts.gamma_rel_tol * step)
+                done = (abs(g) <= tol) | (abs(step - x) <= GAMMA_REL_TOL * step)
             else:
                 # Newton budget exhausted: finish by bisection
                 step = mid
@@ -287,7 +269,7 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho, opts):
             lo, g_lo, hi = (np.where(same, step, lo), np.where(same, g, g_lo),
                             np.where(same, hi, step))
             if not newton:
-                done = (abs(g) <= tol) | (hi - lo <= opts.gamma_rel_tol * step)
+                done = (abs(g) <= tol) | (hi - lo <= GAMMA_REL_TOL * step)
             x, gx = step, g
             if done.any():
                 for j in np.flatnonzero(done):
@@ -310,34 +292,33 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho, opts):
     return reports
 
 
-def solve_secular_weighted(split, weights, opts=SolverOptions()):
+def solve_secular_weighted(split, weights):
     """Solve G(gamma) = 0 for a single system; see _solve_lanes."""
     weights = _checked_weights(split, weights)
     return _solve_lanes(split.es.eigenvalues[None], split.sigma1_sq[None], weights[None],
-                        split.beta, split.n2, split.rho, opts)[0]
+                        split.beta, split.n2, split.rho)[0]
 
 
-def solve_secular(split, d, opts=SolverOptions()):
+def solve_secular(split, d):
     """Solve the secular equation for an eigenbasis observation d = U^H r."""
     d = np.asarray(d, dtype=complex)
     if d.shape != (split.es.n,):
         raise ValueError("d length %s does not match system size %d"
                          % (d.shape, split.es.n))
-    return solve_secular_weighted(split, np.abs(d) ** 2, opts)
+    return solve_secular_weighted(split, np.abs(d) ** 2)
 
 
-def copra_gammas_lanes(split, a_presumed, snapshots, opts=SolverOptions(),
-                       snapshot_policy="averaged"):
+def copra_gammas_lanes(split, a_presumed, snapshots, snapshot_policy="averaged"):
     """Solve for the steering-side and snapshot-side regularization parameters.
 
     split holds a stack of lanes, a_presumed is (lanes, n) and snapshots is
-    (lanes, n, n_s); returns one CopraDiagnostics per lane. The steering-side
-    solve uses d = U^H a. For the snapshot side the default policy replaces
-    |d_i|^2 by its average over all snapshots, which equals the covariance
-    eigenvalue lambda_i; the alternative solves per snapshot and takes the
-    median gamma. Its report sums the iterations and takes the largest
-    residual; it is converged only if every solve converged and a fallback
-    if any solve fell back.
+    (lanes, n, n_s); returns one (report_b, report_z) pair of
+    SecularSolveReports per lane. The steering-side solve uses d = U^H a.
+    For the snapshot side the default policy replaces |d_i|^2 by its average
+    over all snapshots, which equals the covariance eigenvalue lambda_i; the
+    alternative solves per snapshot and takes the median gamma. Its report
+    sums the iterations and takes the largest residual; it is converged only
+    if every solve converged and a fallback if any solve fell back.
     """
     if snapshot_policy not in ("averaged", "per-snapshot-median"):
         raise ValueError("unknown snapshot policy %r" % snapshot_policy)
@@ -353,18 +334,17 @@ def copra_gammas_lanes(split, a_presumed, snapshots, opts=SolverOptions(),
         # as lanes of one solve
         reports = _solve_lanes(np.concatenate([lam, lam]), np.concatenate([lam1, lam1]),
                                np.concatenate([weights_b, lam]),
-                               split.beta, split.n2, split.rho, opts)
+                               split.beta, split.n2, split.rho)
         reports_b, reports_z = reports[:lanes], reports[lanes:]
     else:
-        reports_b = _solve_lanes(lam, lam1, weights_b, split.beta, split.n2, split.rho,
-                                 opts)
+        reports_b = _solve_lanes(lam, lam1, weights_b, split.beta, split.n2, split.rho)
         reports_z = []
         for i in range(lanes):
             # every snapshot of lane i is a lane of its own
             weights = np.abs(uh[i] @ snapshots[i]).T ** 2
             rows = np.full(len(weights), i)
             reps = _solve_lanes(lam[rows], lam1[rows], weights,
-                                split.beta, split.n2, split.rho, opts)
+                                split.beta, split.n2, split.rho)
             reports_z.append(SecularSolveReport(
                 gamma=float(np.median([r.gamma for r in reps])),
                 iterations=sum(r.iterations for r in reps),
@@ -372,16 +352,14 @@ def copra_gammas_lanes(split, a_presumed, snapshots, opts=SolverOptions(),
                 converged=all(r.converged for r in reps),
                 fallback_used=any(r.fallback_used for r in reps)))
 
-    return [CopraDiagnostics(gamma_b=b.gamma, gamma_z=z.gamma, report_b=b, report_z=z)
-            for b, z in zip(reports_b, reports_z)]
+    return list(zip(reports_b, reports_z))
 
 
-def copra_gammas(es, split, a_presumed, snapshots, opts=SolverOptions(),
-                 snapshot_policy="averaged"):
-    """Regularization pair of a single system; see copra_gammas_lanes."""
-    return copra_gammas_lanes(_split(es[None], split.n1, split.rho),
+def copra_gammas(split, a_presumed, snapshots, snapshot_policy="averaged"):
+    """(report_b, report_z) of a single system; see copra_gammas_lanes."""
+    return copra_gammas_lanes(_split(split.es[None], split.n1, split.rho),
                               np.asarray(a_presumed, dtype=complex)[None],
-                              snapshots.snapshots[None], opts, snapshot_policy)[0]
+                              snapshots.snapshots[None], snapshot_policy)[0]
 
 
 def lambda_o_sq(gamma, es, r):

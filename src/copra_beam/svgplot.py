@@ -4,6 +4,8 @@ Hand-rolled rather than delegated to a plotting library so identical inputs
 produce byte-identical files (no timestamps, no generated ids).
 """
 
+import math
+
 __all__ = ["render_line_chart"]
 
 WIDTH = 720
@@ -44,17 +46,20 @@ def _ticks(lo, hi, n=6):
 def render_line_chart(series, x_label, y_label, title=""):
     """Render named (xs, ys) series into an SVG document string.
 
-    series: list of (name, xs, ys) with finite values; single points are drawn
-    as markers. Y-range covers all series with a 5% margin.
+    series: list of (name, xs, ys); a point with a NaN or infinite coordinate
+    is left out, and a chart without points draws its frame, labels and
+    legend only. Single points are drawn as markers. Y-range covers all
+    series with a 5% margin.
     """
     if not series:
         raise ValueError("no series to plot")
-    all_x = [x for _, xs, _ in series for x in xs]
-    all_y = [y for _, _, ys in series for y in ys]
-    if not all_x:
-        raise ValueError("series contain no points")
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
+    series = [(name, [(x, y) for x, y in zip(xs, ys)
+                      if math.isfinite(x) and math.isfinite(y)])
+              for name, xs, ys in series]
+    all_x = [x for _, points in series for x, _ in points]
+    all_y = [y for _, points in series for _, y in points]
+    x_lo, x_hi = (min(all_x), max(all_x)) if all_x else (0.0, 1.0)
+    y_lo, y_hi = (min(all_y), max(all_y)) if all_y else (0.0, 1.0)
     y_pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else max(1.0, abs(y_hi) * 0.05)
     y_lo -= y_pad
     y_hi += y_pad
@@ -80,13 +85,13 @@ def render_line_chart(series, x_label, y_label, title=""):
     out.append('<rect x="%d" y="%d" width="%d" height="%d" fill="none" '
                'stroke="black"/>' % (MARGIN_L, MARGIN_T, pw, ph))
 
-    for t in _ticks(x_lo, x_hi):
+    for t in _ticks(x_lo, x_hi) if all_x else []:
         px = sx(t)
         out.append('<line x1="%s" y1="%d" x2="%s" y2="%d" stroke="black"/>'
                    % (_fmt(px), MARGIN_T + ph, _fmt(px), MARGIN_T + ph + 5))
         out.append('<text x="%s" y="%d" text-anchor="middle">%s</text>'
                    % (_fmt(px), MARGIN_T + ph + 20, _fmt(t)))
-    for t in _ticks(y_lo, y_hi):
+    for t in _ticks(y_lo, y_hi) if all_y else []:
         py = sy(t)
         out.append('<line x1="%d" y1="%s" x2="%d" y2="%s" stroke="black"/>'
                    % (MARGIN_L - 5, _fmt(py), MARGIN_L, _fmt(py)))
@@ -102,14 +107,13 @@ def render_line_chart(series, x_label, y_label, title=""):
         out.append('<text x="%s" y="20" text-anchor="middle" font-size="14">%s'
                    '</text>' % (_fmt(MARGIN_L + pw / 2), title))
 
-    for i, (name, xs, ys) in enumerate(series):
+    for i, (name, points) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join("%s,%s" % (_fmt(sx(x)), _fmt(sy(y)))
-                       for x, y in zip(xs, ys))
-        if len(xs) > 1:
+        pts = " ".join("%s,%s" % (_fmt(sx(x)), _fmt(sy(y))) for x, y in points)
+        if len(points) > 1:
             out.append('<polyline points="%s" fill="none" stroke="%s" '
                        'stroke-width="1.5"/>' % (pts, color))
-        for x, y in zip(xs, ys):
+        for x, y in points:
             out.append('<circle cx="%s" cy="%s" r="3" fill="%s"/>'
                        % (_fmt(sx(x)), _fmt(sy(y)), color))
         ly = MARGIN_T + 18 + 18 * i

@@ -53,17 +53,25 @@ def dense_secular_value(gamma, split, d):
 
 
 def grid_secular_values(split, weights, grid):
-    """Vectorized G over a gamma grid (dense broadcasting, oracle use only)."""
+    """Vectorized G over a gamma grid (dense broadcasting, oracle use only).
+
+    Forms inv = 1/(lambda + gamma)^2 once for the whole grid; each trace sum
+    is then a matrix-vector product with inv, the significant-block sums
+    with its first n1 columns (sigma1_sq is the leading block of lambda).
+    """
     lam = split.es.eigenvalues
     lam1 = split.sigma1_sq
     beta = split.beta
-    g = grid[:, None]
-    sh = lam[None, :] + g
-    sh1 = lam1[None, :] + g
-    t_a = ((lam * weights)[None, :] / sh**2).sum(axis=1)
-    t_d = (weights[None, :] / sh**2).sum(axis=1)
-    t_b = ((beta * lam1[None, :] + g) / sh1**2).sum(axis=1)
-    t_e = ((lam1[None, :] * (beta * lam1[None, :] + g)) / sh1**2).sum(axis=1)
+    inv = np.add.outer(grid, lam)
+    np.square(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    t_a, t_d = (inv @ np.stack([lam * weights, weights], axis=1)).T
+    # (beta lam1 + gamma) and lam1 (beta lam1 + gamma), split into the parts
+    # without and with gamma
+    b0, b1, e0, e1 = (inv[:, :split.n1] @ np.stack(
+        [beta * lam1, np.ones_like(lam1), beta * lam1**2, lam1], axis=1)).T
+    t_b = b0 + grid * b1
+    t_e = e0 + grid * e1
     return t_a * t_b + (split.n2 / grid) * t_a - t_d * t_e
 
 

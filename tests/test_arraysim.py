@@ -16,6 +16,8 @@ from copra_beam.arraysim import (
     synthesize_snapshots,
     true_covariance,
 )
+from copra_beam.beamformers import optimal_weights
+from copra_beam.harness import output_sinr
 
 
 def _bits(value):
@@ -123,7 +125,7 @@ def test_scenario_determinism():
     a = draw_scenario(np.random.default_rng(42))
     b = draw_scenario(np.random.default_rng(42))
     assert a.soi_doa_deg == b.soi_doa_deg
-    assert a.interferer_doas_deg == b.interferer_doas_deg
+    assert np.array_equal(a.interferer_doas_deg, b.interferer_doas_deg)
     assert np.array_equal(a.a_presumed, b.a_presumed)
 
 
@@ -187,6 +189,18 @@ def test_noiseless_single_source_rank_one():
     ss = synthesize_snapshots(sc0, 20, rng)
     s = np.linalg.svd(ss.snapshots, compute_uv=False)
     assert s[1] <= 1e-10 * s[0]
+
+
+def test_replaced_interferer_doa_out_of_range_refused():
+    # the interferer steering comes from the DOAs, so a replaced trial is
+    # checked where it is used
+    sc = dataclasses.replace(draw_scenario(np.random.default_rng(0)),
+                             interferer_doas_deg=(30.0, 95.0))
+    for use in (lambda: synthesize_snapshots(sc, 5, np.random.default_rng(0)),
+                lambda: output_sinr(np.ones(10), sc),
+                lambda: optimal_weights(sc)):
+        with pytest.raises(ValueError, match="outside"):
+            use()
 
 
 def test_snapshot_determinism():

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from copra_beam.cli import CSV_HEADER, main
+from copra_beam.cli import CSV_HEADER, _sweep_svg, main
 from copra_beam.config import ExperimentConfig, config_from_dict, load_config
 
 
@@ -95,6 +96,9 @@ class TestConfig:
         ('{"snr_db": 4000}', "snr_db"),
         ('{"inr_db": 4000.0}', "inr_db"),
         ('{"snr_db_grid": [0.0, 4000.0]}', "snr_db_grid"),
+        ('{"snr_db": -4000}', "snr_db"),
+        ('{"inr_db": -4000.0}', "inr_db"),
+        ('{"snr_db_grid": [0.0, -4000.0]}', "snr_db_grid"),
     ])
     def test_bad_values_refused_at_load(self, tmp_path, doc, field):
         path = tmp_path / "bad.json"
@@ -156,6 +160,18 @@ class TestSweepCommand:
         assert meta["config"]["n_snapshots"] == 20
         assert set(meta["fallback_rate_per_method"]) == set(
             ExperimentConfig().methods)
+
+    def test_non_finite_means_stay_off_the_chart(self, tmp_path):
+        # an interference power of 1e300 overflows the covariance: every mean is nan
+        cfg = _write_cfg(tmp_path, {"inr_db": 3000, "trials": 2, "snr_db_grid": [0.0]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert "nan" in (out / "sweep.csv").read_text()
+        svg = (out / "sweep.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert "<circle" not in svg
+        for method in ExperimentConfig().methods:
+            assert method in svg
 
     def test_missing_config_file_errors(self, tmp_path):
         rc = main(["sweep", "--config", str(tmp_path / "nope.json"),
@@ -235,6 +251,23 @@ class TestPlotCommand:
                        + "snr,zero,copra,1.5,0.1,3,0\n")
         with pytest.raises(SystemExit, match="row 3"):
             main(["plot", str(bad), str(tmp_path / "o.svg")])
+
+    @pytest.mark.parametrize("means", [
+        [float("nan"), 2.0, 4.0],
+        [1.0, 2.0, float("-inf")],
+        [float("nan")],
+    ])
+    def test_non_finite_points_left_out(self, means):
+        # a NaN or infinite mean placed first, last or alone: the chart is
+        # that of the finite points, or its axes and legend only
+        points = [("copra", 10.0 * i, m) for i, m in enumerate(means)]
+        finite = [p for p in points if math.isfinite(p[2])]
+        svg = _sweep_svg(points, "snr")
+        assert "nan" not in svg and "inf" not in svg
+        assert svg.count("<circle") == len(finite)
+        assert "copra" in svg
+        if finite:
+            assert svg == _sweep_svg(finite, "snr")
 
     def test_empty_csv_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"

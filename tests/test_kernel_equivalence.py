@@ -55,10 +55,9 @@ def test_broadcast_scan_matches_scalar_kernel(case):
     rng = np.random.default_rng(seed)
     es, obs = _spectrum(kind, n, rng)
     split = secular.split_eigenvalues(es, float(rng.uniform(0.05, 0.5)))
-    opts = secular.SolverOptions()
     mean_lam = float(es.eigenvalues.mean())
-    grid = np.geomspace(opts.scan_lo_factor * mean_lam,
-                        opts.scan_hi_factor * mean_lam, opts.scan_points)
+    grid = np.geomspace(secular.SCAN_LO_FACTOR * mean_lam,
+                        secular.SCAN_HI_FACTOR * mean_lam, secular.SCAN_POINTS)
     for weights in (np.abs(es.u.conj().T @ obs[:, 0]) ** 2, es.eigenvalues.copy()):
         vals, _, scales = secular._secular_terms(grid, split, weights)
         scalar_vals = np.array([secular.secular_function_weighted(x, split, weights)
