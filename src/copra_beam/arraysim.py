@@ -4,12 +4,16 @@ snapshot synthesis, and covariance construction.
 Angles are degrees at the API boundary and radians internally. All randomness
 flows through an explicit numpy Generator so trials are reproducible and may
 be generated concurrently. A Scenario holds one trial or a block of trials
-as lanes along a leading axis. draw_trials draws a block: per trial run only
-its generator's scalar draws (the DOAs with their guard redraws, then the
-look error) and one call for all of its Gaussian draws; the steering
-vectors, powers and snapshot sums run once over the block. draw_scenario and
-synthesize_snapshots are its one-lane case. The covariance functions also
-take a block of lanes; each lane gets the bits of a single call.
+as lanes along a leading axis. draw_block draws a block once for a whole
+sweep: per trial run only its generator's scalar draws (the DOAs with their
+guard redraws, then the look error) and one call for all of its Gaussian
+draws, sized for the sweep's largest snapshot count; the steering vectors
+and powers run once over the block. synthesize_block then forms the
+snapshots of one sweep point from a prefix of those draws, summed once over
+the block, and Scenario.at_snr sets a point's SOI power without redrawing.
+draw_trials is the one-point case, and draw_scenario and
+synthesize_snapshots the one-lane case. The covariance functions also take
+a block of lanes; each lane gets the bits of a single call.
 """
 
 import dataclasses
@@ -26,6 +30,8 @@ __all__ = [
     "draw_scenario",
     "synthesize_snapshots",
     "draw_trials",
+    "draw_block",
+    "synthesize_block",
     "sample_covariance",
     "interference_noise_covariance",
     "true_covariance",
@@ -75,6 +81,13 @@ class Scenario:
         return dataclasses.replace(self, **{
             f.name: np.asarray(getattr(self, f.name))[lanes]
             for f in dataclasses.fields(self) if f.name != "geometry"})
+
+    def at_snr(self, snr_db):
+        """The same scenario with the SOI at snr_db; the steering vectors are kept."""
+        out = dataclasses.replace(
+            self, soi_power=np.full_like(self.soi_power, 10.0 ** (snr_db / 10.0)))
+        out.__dict__["a_interferers"] = self.a_interferers
+        return out
 
     @functools.cached_property
     def a_interferers(self):
@@ -204,7 +217,9 @@ def _gaussians(rngs, n_elements, n_interferers, n_s):
 
     Row i holds, in rngs[i]'s stream order, the real then the imaginary
     parts of the SOI waveform, of each interferer's waveform and of the
-    (n_elements, n_s) noise: the stream of one call per part.
+    (n_elements, n_s) noise: the stream of one call per part. The stream
+    fills in order, so the first 2 (1 + n_interferers + n_elements) m draws
+    of a row are the row drawn for m <= n_s snapshots.
     """
     z = np.empty((len(rngs), 2 * (1 + n_interferers + n_elements) * n_s))
     for rng, row in zip(rngs, z):
@@ -219,16 +234,18 @@ def _circular_gaussian(re, im, power, out=None):
     return np.multiply(np.sqrt(power / 2.0), c, out=c)
 
 
-def _synthesize(sl, z, n_s):
+def synthesize_block(sl, z, n_s):
     """(lanes, n_elements, n_s) snapshots of a block of scenarios from their draws z.
 
-    Sums in a fixed order, each over the whole block: the SOI, each
-    interferer, then the noise.
+    z holds each lane's Gaussian draws for n_s or more snapshots (see
+    draw_block); the first n_s snapshots' worth of each row is used. Sums in
+    a fixed order, each over the whole block: the SOI, each interferer, then
+    the noise.
     """
     lanes, n_e = sl.a_true.shape
     n_sources = 1 + sl.interferer_doas_deg.shape[1]
     waves = z[:, :2 * n_sources * n_s].reshape(lanes, n_sources, 2, n_s)
-    noise = z[:, 2 * n_sources * n_s:].reshape(lanes, 2, n_e, n_s)
+    noise = z[:, 2 * n_sources * n_s:2 * (n_sources + n_e) * n_s].reshape(lanes, 2, n_e, n_s)
     powers = np.concatenate([sl.soi_power[:, None], sl.interferer_powers], axis=1)
     scales = np.sqrt(powers).astype(complex)
     a = np.concatenate([sl.a_true[:, None], sl.a_interferers], axis=1)
@@ -256,10 +273,10 @@ def synthesize_snapshots(scenario, n_s, rng):
         raise ValueError("n_s must be >= 1")
     sl = scenario[None]
     z = _gaussians([rng], scenario.geometry.n_elements, sl.interferer_doas_deg.shape[1], n_s)
-    return SnapshotSet(snapshots=_synthesize(sl, z, n_s)[0])
+    return SnapshotSet(snapshots=synthesize_block(sl, z, n_s)[0])
 
 
-def draw_trials(
+def draw_block(
     rngs,
     n_s,
     geometry=ArrayGeometry(),
@@ -269,13 +286,16 @@ def draw_trials(
     soi_error_bound_deg=5.0,
     doa_guard_deg=2.0,
 ):
-    """Scenarios and snapshots of a block of trials, one lane per generator.
+    """Scenarios and Gaussian draws of a block of trials, one lane per generator.
 
-    Lane i holds, bit for bit, what draw_scenario and then
-    synthesize_snapshots(scenario, n_s, rngs[i]) draw from rngs[i]. Only the
+    Lane i holds what draw_scenario and then synthesize_snapshots draw from
+    rngs[i], with the Gaussians drawn for n_s snapshots. For any m <= n_s
+    and any SNR, synthesize_block(sl.at_snr(snr_db), z, m) gives, bit for
+    bit, the snapshots draw_trials would draw for m snapshots at that SNR
+    from the same substreams, so a sweep draws each trial once. Only the
     scalar draws and one call for all Gaussian draws run per trial; the
-    steering vectors, powers and snapshot sums run once over the block.
-    Returns the block's Scenario and the (lanes, n_elements, n_s) snapshots.
+    steering vectors and powers run once over the block. Returns the
+    block's Scenario and the (lanes, draws) array z.
     """
     _check_scenario(n_interferers, snr_db, inr_db, soi_error_bound_deg, doa_guard_deg)
     if n_s < 1:
@@ -283,8 +303,19 @@ def draw_trials(
     angles = [_draw_angles(rng, n_interferers, soi_error_bound_deg, doa_guard_deg)
               for rng in rngs]
     z = _gaussians(rngs, geometry.n_elements, n_interferers, n_s)
-    sl = _scenario_lanes(geometry, angles, snr_db, inr_db)
-    return sl, _synthesize(sl, z, n_s)
+    return _scenario_lanes(geometry, angles, snr_db, inr_db), z
+
+
+def draw_trials(rngs, n_s, **scenario):
+    """Scenarios and snapshots of a block of trials, one lane per generator.
+
+    Lane i holds, bit for bit, what draw_scenario and then
+    synthesize_snapshots(scenario, n_s, rngs[i]) draw from rngs[i]; the
+    keyword arguments are draw_block's. Returns the block's Scenario and the
+    (lanes, n_elements, n_s) snapshots.
+    """
+    sl, z = draw_block(rngs, n_s, **scenario)
+    return sl, synthesize_block(sl, z, n_s)
 
 
 def sample_covariance(snapshot_set):

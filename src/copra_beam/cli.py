@@ -115,8 +115,9 @@ def cmd_trial(args):
         "gamma_z": record.gamma_z,
         "fallback_b": record.fallback_b,
         "fallback_z": record.fallback_z,
+        # a SINR of 0 is a value too: -inf dB
         "sinr_db": {
-            m: (None if v is None else 10.0 * math.log10(v))
+            m: (None if v is None else 10.0 * math.log10(v) if v > 0 else -math.inf)
             for m, v in record.sinr.items()
         },
         "failures": record.failures,
@@ -138,12 +139,11 @@ def cmd_trial(args):
     print("  gamma_b=%.6g%s  gamma_z=%.6g%s" %
           (record.gamma_b, " (fallback)" if record.fallback_b else "",
            record.gamma_z, " (fallback)" if record.fallback_z else ""))
-    for method, value in record.sinr.items():
+    for method, value in payload["sinr_db"].items():
         if value is None:
             print("  %-16s failed: %s" % (method, record.failures[method]))
         else:
-            print("  %-16s SINR = %8.3f dB" %
-                  (method, 10.0 * math.log10(value)))
+            print("  %-16s SINR = %8.3f dB" % (method, value))
     return 0
 
 

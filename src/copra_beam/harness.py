@@ -4,13 +4,18 @@ Each trial derives an independent random substream from (master seed, trial
 index) via numpy's SeedSequence, and trials run in blocks as the lanes of
 one array program whose lanes do not see each other, so aggregate results
 are bit-identical regardless of execution order, block split or worker
-count. Per trial run only its substream's generator and draws; the block's
-steering vectors and snapshot sums, and every later stage, run once over
-the block. Within a sweep point all methods see the same scenario and noise
-realizations (paired comparison).
+count. A sweep's unit of work is one block of trials over every point.
+Per trial run only its substream's generator and draws, once per sweep.
+Once per block and sweep run the steering vectors and the
+interference-plus-noise covariances, and once per block and SNR the
+clairvoyant weights. Per point run the SOI power, the snapshot sums over a
+prefix of the draws, and every stage from the sample covariance to the
+SINR, each over the whole block. All methods see the same scenario and
+noise realizations, within a point and across points (paired comparison).
 """
 
 import dataclasses
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -114,14 +119,45 @@ def _trial_rng(master_seed, trial_index):
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(trial_index)]))
 
 
-def _draw_block(cfg, indices, master_seed):
-    """The Scenario and snapshots of a block of trials, each lane from its
-    own trial's substream."""
-    return arraysim.draw_trials(
-        [_trial_rng(master_seed, i) for i in indices], cfg.n_snapshots,
+def _draw_block(cfg, indices, master_seed, n_s):
+    """The Scenario of a block of trials at cfg's SNR and each trial's
+    Gaussian draws for n_s snapshots, each lane from its own trial's substream."""
+    return arraysim.draw_block(
+        [_trial_rng(master_seed, i) for i in indices], n_s,
         geometry=arraysim.ArrayGeometry(cfg.n_elements, cfg.spacing_wavelengths),
         n_interferers=cfg.n_interferers, snr_db=cfg.snr_db, inr_db=cfg.inr_db,
         soi_error_bound_deg=cfg.soi_error_bound_deg, doa_guard_deg=cfg.doa_guard_deg)
+
+
+def _run_points(point_cfgs, indices, master_seed):
+    """The records of one block of trials at every point of a sweep, per point.
+
+    The point configs differ at most in snr_db and n_snapshots. Each trial
+    is drawn once, with its Gaussians for the largest snapshot count, and
+    the steering vectors and interference-plus-noise covariances are built
+    once; the clairvoyant weights are built once per SNR. Per point run
+    only the SOI power, the snapshots from a prefix of the draws and every
+    stage from the sample covariance on. A point's records are those
+    run_trials gives for it alone.
+    """
+    sl, z = _draw_block(point_cfgs[0], indices, master_seed,
+                        max(cfg.n_snapshots for cfg in point_cfgs))
+    c_in = arraysim.interference_noise_lanes(sl)
+    optimal = {}
+    out = []
+    for cfg in point_cfgs:
+        psl = sl.at_snr(cfg.snr_db)
+        y = arraysim.synthesize_block(psl, z, cfg.n_snapshots)
+        try:
+            out.append(_run_block(cfg, indices, psl, y, c_in, optimal))
+        except (ValueError, np.linalg.LinAlgError):
+            if len(indices) == 1:
+                raise
+            # a stacked eigh fails as a whole when one lane fails: redo the
+            # block lane by lane, so that only that lane's method fails
+            out.append([rec for i in range(len(indices)) for rec in _run_block(
+                cfg, indices[i:i + 1], psl[i:i + 1], y[i:i + 1], c_in[i:i + 1], {})])
+    return out
 
 
 def run_trials(cfg, indices, master_seed):
@@ -129,27 +165,16 @@ def run_trials(cfg, indices, master_seed):
 
     The trials run in blocks of BLOCK lanes: each trial draws its scenario
     and snapshots from its own substream, and every stage from the steering
-    vectors on runs over the whole block.
+    vectors on runs over the whole block; this is the one-point case of a
+    sweep's block.
     A trial's record does not depend on the other trials of its block, so it
     is the same for any index set, order or block split. Per-method failures
     are recorded as missing values; nothing raises, so long sweeps always
     complete.
     """
     indices = [int(i) for i in indices]
-    records = []
-    for start in range(0, len(indices), BLOCK):
-        block = indices[start:start + BLOCK]
-        sl, y = _draw_block(cfg, block, master_seed)
-        try:
-            records += _run_block(cfg, block, sl, y)
-        except (ValueError, np.linalg.LinAlgError):
-            if len(block) == 1:
-                raise
-            # a stacked eigh fails as a whole when one lane fails: redo the
-            # block lane by lane, so that only that lane's method fails
-            for i in range(len(block)):
-                records += _run_block(cfg, block[i:i + 1], sl[i:i + 1], y[i:i + 1])
-    return records
+    return [rec for start in range(0, len(indices), BLOCK)
+            for rec in _run_points([cfg], indices[start:start + BLOCK], master_seed)[0]]
 
 
 def run_trial(cfg, trial_index, master_seed):
@@ -157,16 +182,18 @@ def run_trial(cfg, trial_index, master_seed):
     return run_trials(cfg, [trial_index], master_seed)[0]
 
 
-def _run_block(cfg, indices, sl, y):
+def _run_block(cfg, indices, sl, y, c_in, optimal):
     """The records of a block of drawn trials: decompose once, evaluate all methods.
 
-    sl is the block's Scenario and y its (lanes, n, n_s) snapshots.
+    sl is the block's Scenario, y its (lanes, n, n_s) snapshots and c_in
+    its interference-plus-noise covariances. optimal maps an SNR to the
+    block's clairvoyant (weights, errors) at that SNR; missing ones are
+    computed and added.
     """
     lanes = len(indices)
     cov = arraysim.sample_covariance(arraysim.SnapshotSet(y))
     es = hermitian_evd(cov)
     a = sl.a_presumed
-    c_in = arraysim.interference_noise_lanes(sl)
 
     weights, method_errors = [], []
     copra = [dict(n1=None, n2=None, gamma_b=float("nan"), gamma_z=float("nan"),
@@ -213,7 +240,9 @@ def _run_block(cfg, indices, sl, y):
                 w, errors = beamformers.copra_lanes(es, gb, gz, a)
                 errors = [eb or ez or e for eb, ez, e in zip(errors_b, errors_z, errors)]
             elif method == "optimal":
-                w, errors = beamformers.optimal_lanes(sl, c_in)
+                if cfg.snr_db not in optimal:
+                    optimal[cfg.snr_db] = beamformers.optimal_lanes(sl, c_in)
+                w, errors = optimal[cfg.snr_db]
             else:
                 raise ValueError("unknown method %r" % method)
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -232,6 +261,8 @@ def _run_block(cfg, indices, sl, y):
         for i, e in enumerate(errors):
             if e is None and zero[i][m]:
                 e = ValueError("weight vector is zero")
+            elif e is None and not math.isfinite(values[i][m]):
+                e = ValueError("SINR is not finite")
             sinr[i][method] = None if e else values[i][m]
             if e:
                 failures[i][method] = str(e)
@@ -253,33 +284,51 @@ def _run_block(cfg, indices, sl, y):
     ]
 
 
-def _fallback_rate(records, method):
+def _fallback(record, method):
     if method == "copra":
-        return float(np.mean([r.fallback_b or r.fallback_z for r in records]))
+        return record.fallback_b or record.fallback_z
     if method == "sample-mvdr":
-        return float(np.mean([r.mvdr_loaded for r in records]))
-    return 0.0
+        return record.mvdr_loaded
+    return False
 
 
-def _aggregate(records, method, value):
-    vals = np.array([r.sinr[method] for r in records if r.sinr.get(method) is not None])
+def _columns(records, methods):
+    """What _aggregate reads of some records: (trials, methods) arrays of
+    the SINRs, NaN where a method failed, and of the fallback flags."""
+    sinr = np.array([[np.nan if r.sinr[m] is None else r.sinr[m] for m in methods]
+                     for r in records], dtype=float)
+    fallback = np.array([[_fallback(r, m) for m in methods] for r in records], dtype=bool)
+    return sinr, fallback
+
+
+def _aggregate(sinr, fallback, method, value):
+    """One sweep row from a method's SINR and fallback columns at one point."""
+    vals = sinr[~np.isnan(sinr)]
+    fallback_rate = float(np.mean(fallback))
     n = len(vals)
     if n == 0:
-        return PointStats(value, method, float("nan"), float("nan"), 0,
-                          _fallback_rate(records, method))
+        return PointStats(value, method, float("nan"), float("nan"), 0, fallback_rate)
     mean_lin = vals.mean()
     mean_db = float(10.0 * np.log10(mean_lin))
     se_lin = vals.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
     stderr_db = float(10.0 / np.log(10.0) * se_lin / mean_lin)
-    return PointStats(value, method, mean_db, stderr_db, n,
-                      _fallback_rate(records, method))
+    return PointStats(value, method, mean_db, stderr_db, n, fallback_rate)
+
+
+def _sweep_block(point_cfgs, indices, master_seed):
+    """One sweep job: a block of trials at every point, as columns per point."""
+    methods = point_cfgs[0].methods
+    return [_columns(records, methods)
+            for records in _run_points(point_cfgs, indices, master_seed)]
 
 
 def run_sweep(cfg, sweep_kind, master_seed=None):
     """Sweep SNR or snapshot count; aggregate linear-mean SINR in dB per point.
 
     The same trial substreams are reused across methods within a point, and
-    across points, so curves are paired comparisons on identical realizations.
+    across points, so curves are paired comparisons on identical
+    realizations. A job is one block of trials over every point: each trial
+    is drawn once per sweep, not once per point.
     """
     if sweep_kind == "snr":
         points = list(cfg.snr_db_grid)
@@ -297,20 +346,20 @@ def run_sweep(cfg, sweep_kind, master_seed=None):
     else:
         point_cfgs = [dataclasses.replace(cfg, n_snapshots=int(v)) for v in points]
     blocks = [range(s, min(s + BLOCK, cfg.trials)) for s in range(0, cfg.trials, BLOCK)]
-    jobs = [(pcfg, block) for pcfg in point_cfgs for block in blocks]
-    rows = []
-    # one pool for all points, fed whole blocks; map keeps the job order,
-    # whatever the worker count
-    parallel = cfg.workers > 1 and len(jobs) > 1
+    # one pool for the sweep, fed whole blocks; map keeps the block order,
+    # whatever the worker count, and a finished block leaves only its columns
+    parallel = cfg.workers > 1 and len(blocks) > 1
     if parallel:
         # imported here: only a pool sweep pays for the module's import
         from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(cfg.workers) if parallel else nullcontext()) as pool:
         done = (pool.map if pool else map)(
-            run_trials, *zip(*jobs), [master_seed] * len(jobs))
-        for value in points:
-            records = [rec for _ in blocks for rec in next(done)]
-            rows += [_aggregate(records, method, float(value)) for method in cfg.methods]
+            _sweep_block, [point_cfgs] * len(blocks), blocks, [master_seed] * len(blocks))
+        # per point, the (sinr, fallback) columns of every block, stacked in block order
+        columns = [[np.concatenate(c) for c in zip(*point)] for point in zip(*done)]
+    rows = [_aggregate(sinr[:, m], fallback[:, m], method, float(value))
+            for value, (sinr, fallback) in zip(points, columns)
+            for m, method in enumerate(cfg.methods)]
 
     return SweepResult(
         sweep_variable=sweep_kind,

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from conftest import loop_draw
 from copra_beam.arraysim import (
     ArrayGeometry,
+    draw_block,
     draw_scenario,
     draw_trials,
     interference_noise_covariance,
     sample_covariance,
     steering_vector,
+    synthesize_block,
     synthesize_snapshots,
     true_covariance,
 )
@@ -68,6 +70,31 @@ def test_block_draw_equals_single_trial_draws(n_elements, n_interferers, soi_err
         interferers = [steering_vector(geometry, d) for d in scenario.interferer_doas_deg]
         assert _bits(sl.a_interferers[i]) == _bits(
             np.array(interferers, dtype=complex).reshape(n_interferers, n_elements))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n_elements=st.integers(2, 12),
+       n_interferers=st.integers(0, 3),
+       points=st.lists(st.tuples(st.integers(1, 24), st.floats(-30.0, 40.0)),
+                       min_size=1, max_size=4),
+       seeds=st.lists(st.integers(0, 2**63), min_size=1, max_size=5))
+def test_sweep_draw_equals_point_draws(n_elements, n_interferers, points, seeds):
+    # a block drawn once for the largest snapshot count gives, at every
+    # (snapshots, SNR) point, the scenario and snapshots that point would
+    # draw on its own from the same substreams
+    kwargs = dict(geometry=ArrayGeometry(n_elements, 0.5), n_interferers=n_interferers)
+    sl, z = draw_block([np.random.default_rng(s) for s in seeds],
+                       max(n_s for n_s, _ in points), snr_db=points[0][1], **kwargs)
+    for n_s, snr_db in points:
+        want_sl, want_y = draw_trials([np.random.default_rng(s) for s in seeds], n_s,
+                                      snr_db=snr_db, **kwargs)
+        at = sl.at_snr(snr_db)
+        assert at.geometry == want_sl.geometry
+        for f in dataclasses.fields(at):
+            if f.name != "geometry":
+                assert _bits(getattr(at, f.name)) == _bits(getattr(want_sl, f.name)), f.name
+        assert _bits(at.a_interferers) == _bits(want_sl.a_interferers)
+        assert _bits(synthesize_block(at, z, n_s)) == _bits(want_y)
 
 
 def test_broadside_steering_is_all_ones():

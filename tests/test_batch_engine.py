@@ -4,6 +4,8 @@
 ``run_trial`` is its one-lane case. Every record must equal, bit for bit, the
 record of the same trial run alone, whatever the index set, its order and
 the block split, on configs that reach every failure and fallback path.
+A sweep runs each block over every point, drawing each trial once; its rows
+must equal those aggregated from ``run_trials`` run point by point.
 """
 
 import dataclasses
@@ -123,7 +125,7 @@ def test_zeroed_lane_fails_alone(monkeypatch):
 def test_eigensolver_failure_fails_only_its_lane(monkeypatch):
     # the stacked eigh raises for the whole stack when one lane's true
     # covariance does not converge; the block is redone lane by lane
-    sl, _ = harness._draw_block(NEIGHBOURS, [BAD], SEED)
+    sl, _ = harness._draw_block(NEIGHBOURS, [BAD], SEED, NEIGHBOURS.n_snapshots)
     target = arraysim.true_covariance_lanes(sl, arraysim.interference_noise_lanes(sl))[0]
     real = np.linalg.eigh
 
@@ -139,3 +141,54 @@ def test_eigensolver_failure_fails_only_its_lane(monkeypatch):
     assert bad.sinr["optimal"] is None
     assert bad.failures == {"optimal": "Eigenvalues did not converge"}
     _neighbours_unchanged(records)
+
+
+def _per_point_rows(cfg, kind):
+    """The rows of a sweep built point by point from run_trials, as run_sweep
+    built them when it ran each (point, block) pair on its own."""
+    if kind == "snr":
+        points = [(float(v), dataclasses.replace(cfg, snr_db=float(v))) for v in cfg.snr_db_grid]
+    else:
+        points = [(float(v), dataclasses.replace(cfg, n_snapshots=int(v)))
+                  for v in cfg.snapshot_grid]
+    rows = []
+    for value, pcfg in points:
+        sinr, fallback = harness._columns(run_trials(pcfg, range(cfg.trials), SEED), cfg.methods)
+        rows += [harness._aggregate(sinr[:, m], fallback[:, m], method, value)
+                 for m, method in enumerate(cfg.methods)]
+    return tuple(rows)
+
+
+sweep_configs = st.builds(
+    ExperimentConfig,
+    n_elements=st.sampled_from([3, 6, 10]),
+    n_interferers=st.integers(0, 3),
+    doa_guard_deg=st.one_of(st.just(2.0), st.floats(0.0, 89.0)),
+    snr_db=st.floats(-10.0, 40.0),
+    n_snapshots=st.integers(1, 24),
+    trials=st.sampled_from([1, 7, 13, 23]),
+    # unsorted, with repeats, down to one snapshot and below n_elements
+    snr_db_grid=st.lists(st.sampled_from([-10.0, 0.0, 7.5, 30.0]),
+                         min_size=1, max_size=4).map(tuple),
+    snapshot_grid=st.lists(st.sampled_from([1, 2, 5, 9, 24]),
+                           min_size=1, max_size=4).map(tuple),
+    diagonal_loading=st.sampled_from([0.0, 10.0]),
+    gamma_z_policy=st.sampled_from(["averaged", "per-snapshot-median"]),
+    methods=st.lists(st.sampled_from(METHODS), unique=True).map(tuple),
+)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(sweep_configs, st.sampled_from(["snr", "snapshots"]))
+def test_sweep_rows_equal_per_point_runs(cfg, kind):
+    # a sweep draws each trial once for all points and shares c_in and the
+    # clairvoyant weights between them; its rows must not move by a bit
+    assert repr(harness.run_sweep(cfg, kind, SEED).rows) == repr(_per_point_rows(cfg, kind))
+
+
+def test_pool_sweep_rows_equal_per_point_runs():
+    # three blocks over two workers
+    cfg = ExperimentConfig(trials=23, workers=2, n_elements=6, snapshot_grid=(12, 3, 1, 12),
+                           snr_db_grid=(30.0, -10.0, 30.0))
+    for kind in ("snr", "snapshots"):
+        assert repr(harness.run_sweep(cfg, kind, SEED).rows) == repr(_per_point_rows(cfg, kind))

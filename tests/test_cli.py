@@ -1,10 +1,13 @@
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from copra_beam import arraysim, harness
 from copra_beam.cli import CSV_HEADER, _sweep_svg, main
-from copra_beam.config import ExperimentConfig, config_from_dict, load_config
+from copra_beam.config import LEVEL_DB_BOUND, ExperimentConfig, config_from_dict, load_config
 
 
 FAST = {
@@ -99,12 +102,38 @@ class TestConfig:
         ('{"snr_db": -4000}', "snr_db"),
         ('{"inr_db": -4000.0}', "inr_db"),
         ('{"snr_db_grid": [0.0, -4000.0]}', "snr_db_grid"),
+        ('{"inr_db": 3000, "trials": 2, "snr_db_grid": [0.0]}', "inr_db"),
+        ('{"snr_db": -3225, "trials": 2, "snr_db_grid": [-3225.0]}', "snr_db"),
+        ('{"snr_db_grid": [0.0, -3225.0]}', "snr_db_grid"),
+        ('{"inr_db": 100.5}', "inr_db"),
     ])
     def test_bad_values_refused_at_load(self, tmp_path, doc, field):
         path = tmp_path / "bad.json"
         path.write_text(doc)
         with pytest.raises(ValueError, match=field):
             load_config(str(path))
+
+    @pytest.mark.parametrize("snr_db, inr_db", [
+        (-LEVEL_DB_BOUND, 30.0), (LEVEL_DB_BOUND, 30.0),
+        (20.0, -LEVEL_DB_BOUND), (20.0, LEVEL_DB_BOUND),
+        (-LEVEL_DB_BOUND, -LEVEL_DB_BOUND), (-LEVEL_DB_BOUND, LEVEL_DB_BOUND),
+        (LEVEL_DB_BOUND, -LEVEL_DB_BOUND), (LEVEL_DB_BOUND, LEVEL_DB_BOUND),
+    ])
+    def test_levels_at_the_bound_run(self, tmp_path, capsys, snr_db, inr_db):
+        # every method gives a finite SINR at the extreme levels that load
+        cfg = _write_cfg(tmp_path, {"snr_db": snr_db, "inr_db": inr_db, "trials": 1,
+                                    "snr_db_grid": [snr_db]})
+        capsys.readouterr()
+        assert main(["trial", "--config", cfg, "--json"]) == 0
+        sinr_db = json.loads(capsys.readouterr().out)["sinr_db"]
+        assert all(v is not None and math.isfinite(v) for v in sinr_db.values()), sinr_db
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(ExperimentConfig().methods)
+        for row in rows:
+            assert row["trials"] == "1" and math.isfinite(float(row["mean_sinr_db"])), row
 
     def test_quasi_grid_nested(self):
         cfg = config_from_dict({"quasi_grid": {"points": 50}})
@@ -161,9 +190,13 @@ class TestSweepCommand:
         assert set(meta["fallback_rate_per_method"]) == set(
             ExperimentConfig().methods)
 
-    def test_non_finite_means_stay_off_the_chart(self, tmp_path):
-        # an interference power of 1e300 overflows the covariance: every mean is nan
-        cfg = _write_cfg(tmp_path, {"inr_db": 3000, "trials": 2, "snr_db_grid": [0.0]})
+    def test_non_finite_means_stay_off_the_chart(self, tmp_path, monkeypatch):
+        # a NaN interference-plus-noise covariance fails every trial of every
+        # method: every mean is nan
+        real = arraysim.interference_noise_lanes
+        monkeypatch.setattr(arraysim, "interference_noise_lanes",
+                            lambda sl: np.full_like(real(sl), np.nan))
+        cfg = _write_cfg(tmp_path, {"trials": 2, "snr_db_grid": [0.0]})
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert "nan" in (out / "sweep.csv").read_text()
@@ -211,6 +244,22 @@ class TestTrialCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["interferer_doas_deg"] == []
 
+
+    def test_zero_sinr_is_minus_infinity_db(self, tmp_path, capsys, monkeypatch):
+        # a SINR of exactly 0 is a value, not a failure: -inf dB, exit 0
+        real = harness._sinr_lanes
+
+        def zero_first(*args):
+            values = real(*args)
+            values[:, 0] = 0.0
+            return values
+
+        monkeypatch.setattr(harness, "_sinr_lanes", zero_first)
+        cfg = _write_cfg(tmp_path)
+        assert main(["trial", "--config", cfg, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["sinr_db"]["sample-mvdr"] == -math.inf
+        assert main(["trial", "--config", cfg]) == 0
+        assert "-inf dB" in capsys.readouterr().out
 
 class TestPlotCommand:
     def _sweep(self, tmp_path):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from copra_beam import harness
+from copra_beam import arraysim, harness
 from copra_beam.arraysim import draw_scenario, steering_vector
 from copra_beam.config import ExperimentConfig
 from copra_beam.harness import output_sinr, run_sweep, run_trial
@@ -119,6 +119,38 @@ class TestRunTrial:
         assert "all-zero spectrum" in rec.failures["quasi-rls"]
         assert rec.sinr["optimal"] is not None
 
+    def test_non_finite_sinr_is_a_failure(self, monkeypatch):
+        # a NaN interference-plus-noise covariance makes every SINR NaN: each
+        # is recorded as a failure, and no sweep row counts it as a trial
+        real = arraysim.interference_noise_lanes
+        monkeypatch.setattr(arraysim, "interference_noise_lanes",
+                            lambda sl: np.full_like(real(sl), np.nan))
+        cfg = _fast_cfg(methods=("sample-mvdr", "diagonal-loading", "copra", "quasi-rls"))
+        rec = run_trial(cfg, 0, 1)
+        assert rec.sinr == dict.fromkeys(cfg.methods)
+        assert rec.failures == dict.fromkeys(cfg.methods, "SINR is not finite")
+        for row in run_sweep(cfg, "snr", master_seed=1).rows:
+            assert row.trials == 0 and np.isnan(row.mean_sinr_db)
+
+    def test_zero_sinr_is_a_value_infinite_is_not(self, monkeypatch):
+        real = harness._sinr_lanes
+
+        def sinr(*args):
+            values = real(*args)
+            values[:, 0] = 0.0
+            values[:, 1] = np.inf
+            values[:, 2] = -np.inf
+            return values
+
+        monkeypatch.setattr(harness, "_sinr_lanes", sinr)
+        cfg = _fast_cfg(methods=("sample-mvdr", "diagonal-loading", "quasi-rls", "optimal"))
+        rec = run_trial(cfg, 0, 1)
+        assert rec.sinr["sample-mvdr"] == 0.0
+        assert rec.sinr["diagonal-loading"] is None and rec.sinr["quasi-rls"] is None
+        assert rec.failures == {"diagonal-loading": "SINR is not finite",
+                                "quasi-rls": "SINR is not finite"}
+        assert rec.sinr["optimal"] > 0
+
     def test_zero_error_large_sample_mvdr_near_optimal(self):
         # with no look-direction error the sample beamformer is consistent:
         # at 1000 snapshots and low SNR it sits within ~0.5 dB of clairvoyant
@@ -149,7 +181,8 @@ class TestRunSweep:
         assert a.rows == b.rows
 
     def test_serial_and_parallel_agree(self):
-        cfg = _fast_cfg(trials=8)
+        # two blocks of trials, so that the sweep goes through the pool
+        cfg = _fast_cfg(trials=13)
         serial = run_sweep(cfg, "snapshots", master_seed=3)
         parallel = run_sweep(dataclasses.replace(cfg, workers=4),
                              "snapshots", master_seed=3)
