@@ -10,7 +10,8 @@ guard redraws, then the look error) and one call for all of its Gaussian
 draws, sized for the sweep's largest snapshot count; the steering vectors
 and powers run once over the block. synthesize_block then forms the
 snapshots of one sweep point from a prefix of those draws, summed once over
-the block, and Scenario.at_snr sets a point's SOI power without redrawing.
+the block, Scenario.at_snr sets a point's SOI power without redrawing, and
+Scenario.concat stacks the blocks of several points into one.
 draw_trials is the one-point case, and draw_scenario and
 synthesize_snapshots the one-lane case. The covariance functions also take
 a block of lanes; each lane gets the bits of a single call.
@@ -87,6 +88,16 @@ class Scenario:
         out = dataclasses.replace(
             self, soi_power=np.full_like(self.soi_power, 10.0 ** (snr_db / 10.0)))
         out.__dict__["a_interferers"] = self.a_interferers
+        return out
+
+    @staticmethod
+    def concat(blocks):
+        """One block of the lanes of several blocks of one geometry, block
+        after block; their interferers' steering vectors are kept."""
+        out = dataclasses.replace(blocks[0], **{
+            f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+            for f in dataclasses.fields(Scenario) if f.name != "geometry"})
+        out.__dict__["a_interferers"] = np.concatenate([b.a_interferers for b in blocks])
         return out
 
     @functools.cached_property

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arraysim import interference_noise_lanes, true_covariance_lanes
-from .linalg import flag_lanes, hermitian_evd, lanes_matmul, one_lane
+from .linalg import flag_lanes, hermitian_evd, lane_chunks, lanes_matmul, one_lane
 
 __all__ = [
     "BeamformerWeights",
@@ -128,25 +128,31 @@ def quasi_lanes(es, observations, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     # a lane without a positive eigenvalue gets a harmless scale, so that the
     # grids of the others are built; it is flagged below
     top = np.where(flat, 1.0, lam[:, 0])
-    grid = np.ascontiguousarray(
-        np.geomspace(lo_factor * top, hi_factor * top, n_grid, axis=-1))
-    # squared in place, as is p below: keeps the selector's peak memory low
-    dfilt_sq = np.diff(np.sqrt(lam)[:, :, None] / (lam[:, :, None] + grid[:, None, :]),
-                       axis=-1)
-    dfilt_sq **= 2
     uh = _uh(es)
-    out = []
+    errors = []
     for r in observations:
-        errors = flag_lanes([None] * lanes, ~r.reshape(lanes, -1).any(axis=-1),
-                            lambda i: ValueError("observation is zero"))
-        flag_lanes(errors, flat, lambda i: ValueError(
-            "cannot select gamma for an all-zero spectrum"))
-        p = np.abs(lanes_matmul(uh, r).reshape(lanes, n, -1))
-        p **= 2
-        p = np.sum(p, axis=-1)
-        diffs = np.sqrt(lanes_matmul(p, dfilt_sq))
-        out.append((grid[np.arange(lanes), np.argmin(diffs, axis=-1)], errors))
-    return out
+        errs = flag_lanes([None] * lanes, ~r.reshape(lanes, -1).any(axis=-1),
+                          lambda i: ValueError("observation is zero"))
+        errors.append(flag_lanes(errs, flat, lambda i: ValueError(
+            "cannot select gamma for an all-zero spectrum")))
+    # the (lanes, n, n_grid) filter grid runs in chunks of lanes; each lane's
+    # sums are its own, so a chunk's bits are the whole stack's
+    gammas = [[] for _ in observations]
+    for c in lane_chunks(lanes):
+        grid = np.ascontiguousarray(
+            np.geomspace(lo_factor * top[c], hi_factor * top[c], n_grid, axis=-1))
+        sub = lam[c]
+        # squared in place, as is p below: keeps the selector's peak memory low
+        dfilt_sq = np.diff(np.sqrt(sub)[:, :, None] / (sub[:, :, None] + grid[:, None, :]),
+                           axis=-1)
+        dfilt_sq **= 2
+        for r, gamma in zip(observations, gammas):
+            p = np.abs(lanes_matmul(uh[c], r[c]).reshape(len(grid), n, -1))
+            p **= 2
+            p = np.sum(p, axis=-1)
+            diffs = np.sqrt(lanes_matmul(p, dfilt_sq))
+            gamma.append(grid[np.arange(len(grid)), np.argmin(diffs, axis=-1)])
+    return [(np.concatenate(gamma), errs) for gamma, errs in zip(gammas, errors)]
 
 
 def mvdr_weights(c, a):

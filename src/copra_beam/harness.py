@@ -3,15 +3,19 @@
 Each trial derives an independent random substream from (master seed, trial
 index) via numpy's SeedSequence, and trials run in blocks as the lanes of
 one array program whose lanes do not see each other, so aggregate results
-are bit-identical regardless of execution order, block split or worker
-count. A sweep's unit of work is one block of trials over every point.
-Per trial run only its substream's generator and draws, once per sweep.
-Once per block and sweep run the steering vectors and the
+are bit-identical regardless of execution order, block split, point
+grouping or worker count. A sweep's unit of work is one block of trials
+over every point. Per trial run only its substream's generator and draws,
+once per sweep. Once per block and sweep run the steering vectors and the
 interference-plus-noise covariances, and once per block and SNR the
-clairvoyant weights. Per point run the SOI power, the snapshot sums over a
-prefix of the draws, and every stage from the sample covariance to the
-SINR, each over the whole block. All methods see the same scenario and
-noise realizations, within a point and across points (paired comparison).
+clairvoyant weights. The points that share a snapshot count form a group:
+once per block and group run the stages from the sample covariance to the
+SINR, over one stack of every point's lanes (an SNR sweep is one group,
+with points x block lanes), each point at its SOI power and with its
+snapshots summed from a prefix of the draws. A group of one point (each
+point of a snapshot sweep, and run_trials) runs on the block itself. All
+methods see the same scenario and noise realizations, within a point and
+across points (paired comparison).
 """
 
 import dataclasses
@@ -109,8 +113,9 @@ def output_sinr(w, scenario):
     return float(_sinr_lanes(wv[None, None], c_in, sl.a_true, sl.soi_power)[0, 0])
 
 
-# lanes per block: enough to spread numpy's per-call cost, few enough that the
-# (lanes, 200, n) scan arrays keep a sweep's peak memory flat
+# trials per block: enough to spread numpy's per-call cost; a stacked group
+# runs points x BLOCK lanes, whose grid-shaped work runs in chunks of
+# linalg.LANE_CHUNK lanes, so the peak memory stays flat
 BLOCK = 10
 
 
@@ -135,29 +140,68 @@ def _run_points(point_cfgs, indices, master_seed):
     The point configs differ at most in snr_db and n_snapshots. Each trial
     is drawn once, with its Gaussians for the largest snapshot count, and
     the steering vectors and interference-plus-noise covariances are built
-    once; the clairvoyant weights are built once per SNR. Per point run
-    only the SOI power, the snapshots from a prefix of the draws and every
-    stage from the sample covariance on. A point's records are those
-    run_trials gives for it alone.
+    once; the clairvoyant weights are built once per SNR. The points that
+    share a snapshot count form a group, in order of first appearance, and
+    every stage from the sample covariance on runs once per group: a group
+    of k points runs as one stack of k x lanes lanes, point-major, each
+    point's lanes at its SOI power with its snapshots from a prefix of the
+    draws. A group of one point runs on the block itself, stacking nothing.
+    A point's records are those run_trials gives for it alone.
     """
     sl, z = _draw_block(point_cfgs[0], indices, master_seed,
                         max(cfg.n_snapshots for cfg in point_cfgs))
     c_in = arraysim.interference_noise_lanes(sl)
     optimal = {}
-    out = []
-    for cfg in point_cfgs:
-        psl = sl.at_snr(cfg.snr_db)
-        y = arraysim.synthesize_block(psl, z, cfg.n_snapshots)
-        try:
-            out.append(_run_block(cfg, indices, psl, y, c_in, optimal))
-        except (ValueError, np.linalg.LinAlgError):
-            if len(indices) == 1:
-                raise
-            # a stacked eigh fails as a whole when one lane fails: redo the
-            # block lane by lane, so that only that lane's method fails
-            out.append([rec for i in range(len(indices)) for rec in _run_block(
-                cfg, indices[i:i + 1], psl[i:i + 1], y[i:i + 1], c_in[i:i + 1], {})])
+
+    def clairvoyant(psl, snr_db):
+        # psl is the block at snr_db
+        if snr_db not in optimal:
+            optimal[snr_db] = beamformers.optimal_lanes(psl, c_in)
+        return optimal[snr_db]
+
+    lanes = len(indices)
+    groups = {}
+    for p, cfg in enumerate(point_cfgs):
+        groups.setdefault(cfg.n_snapshots, []).append(p)
+    out = [None] * len(point_cfgs)
+    for n_s, members in groups.items():
+        cfg = point_cfgs[members[0]]
+        if len(members) == 1:
+            psl = sl.at_snr(cfg.snr_db)
+            out[members[0]] = _run_guarded(
+                cfg, indices, psl, arraysim.synthesize_block(psl, z, n_s), c_in,
+                lambda: clairvoyant(psl, cfg.snr_db))
+            continue
+        snrs = [point_cfgs[p].snr_db for p in members]
+        psls = [sl.at_snr(snr_db) for snr_db in snrs]
+
+        def stacked_optimal():
+            parts = [clairvoyant(psl, snr_db) for psl, snr_db in zip(psls, snrs)]
+            return (np.concatenate([w for w, _ in parts]),
+                    [e for _, errors in parts for e in errors])
+
+        y = np.concatenate([arraysim.synthesize_block(psl, z, n_s) for psl in psls])
+        records = _run_guarded(
+            cfg, list(indices) * len(snrs), arraysim.Scenario.concat(psls), y,
+            np.concatenate([c_in] * len(snrs)), stacked_optimal)
+        for j, p in enumerate(members):
+            out[p] = records[j * lanes:(j + 1) * lanes]
     return out
+
+
+def _run_guarded(cfg, indices, sl, y, c_in, optimal):
+    """_run_block, redone lane by lane when the stacked block raises.
+
+    A stacked eigh fails as a whole when one lane fails; redone lane by lane,
+    only that lane's method is recorded as failed.
+    """
+    try:
+        return _run_block(cfg, indices, sl, y, c_in, optimal)
+    except (ValueError, np.linalg.LinAlgError):
+        if len(indices) == 1:
+            raise
+        return [rec for i in range(len(indices)) for rec in _run_block(
+            cfg, indices[i:i + 1], sl[i:i + 1], y[i:i + 1], c_in[i:i + 1])]
 
 
 def run_trials(cfg, indices, master_seed):
@@ -182,13 +226,13 @@ def run_trial(cfg, trial_index, master_seed):
     return run_trials(cfg, [trial_index], master_seed)[0]
 
 
-def _run_block(cfg, indices, sl, y, c_in, optimal):
+def _run_block(cfg, indices, sl, y, c_in, optimal=None):
     """The records of a block of drawn trials: decompose once, evaluate all methods.
 
     sl is the block's Scenario, y its (lanes, n, n_s) snapshots and c_in
-    its interference-plus-noise covariances. optimal maps an SNR to the
-    block's clairvoyant (weights, errors) at that SNR; missing ones are
-    computed and added.
+    its interference-plus-noise covariances. optimal, when given, returns
+    the block's clairvoyant (weights, errors); otherwise they are built from
+    sl and c_in. cfg's snr_db is not read: each lane's SOI power is sl's.
     """
     lanes = len(indices)
     cov = arraysim.sample_covariance(arraysim.SnapshotSet(y))
@@ -240,9 +284,7 @@ def _run_block(cfg, indices, sl, y, c_in, optimal):
                 w, errors = beamformers.copra_lanes(es, gb, gz, a)
                 errors = [eb or ez or e for eb, ez, e in zip(errors_b, errors_z, errors)]
             elif method == "optimal":
-                if cfg.snr_db not in optimal:
-                    optimal[cfg.snr_db] = beamformers.optimal_lanes(sl, c_in)
-                w, errors = optimal[cfg.snr_db]
+                w, errors = optimal() if optimal else beamformers.optimal_lanes(sl, c_in)
             else:
                 raise ValueError("unknown method %r" % method)
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -352,7 +394,9 @@ def run_sweep(cfg, sweep_kind, master_seed=None):
     if parallel:
         # imported here: only a pool sweep pays for the module's import
         from concurrent.futures import ProcessPoolExecutor
-    with (ProcessPoolExecutor(cfg.workers) if parallel else nullcontext()) as pool:
+    # no more workers than jobs: the pool forks every worker at the first submit
+    with (ProcessPoolExecutor(min(cfg.workers, len(blocks))) if parallel
+          else nullcontext()) as pool:
         done = (pool.map if pool else map)(
             _sweep_block, [point_cfgs] * len(blocks), blocks, [master_seed] * len(blocks))
         # per point, the (sinr, fallback) columns of every block, stacked in block order

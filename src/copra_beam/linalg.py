@@ -12,6 +12,11 @@ __all__ = ["HermitianEigensystem", "hermitian_evd"]
 
 _HERMITIAN_TOL = 1e-8
 
+# lanes per chunk of the grid-shaped work (the secular sign scan, the quasi
+# filter grid): enough to spread numpy's per-call cost, few enough that a
+# stacked sweep point's (lanes, points, n) arrays keep the peak memory flat
+LANE_CHUNK = 12
+
 
 class HermitianEigensystem:
     """Eigendecomposition of a Hermitian PSD matrix, or of a stack of them.
@@ -87,6 +92,11 @@ def lanes_matmul(x, y):
     if y.ndim == 2:
         out = out[..., 0]
     return out[:, 0] if x.ndim == 2 else out
+
+
+def lane_chunks(lanes):
+    """Slices that cover range(lanes) in runs of LANE_CHUNK lanes."""
+    return [slice(start, start + LANE_CHUNK) for start in range(0, lanes, LANE_CHUNK)]
 
 
 def flag_lanes(errors, bad, error):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import lanes_matmul
+from .linalg import lane_chunks, lanes_matmul
 
 __all__ = [
     "EigenSplit",
@@ -190,18 +190,45 @@ def secular_function(gamma, split, d):
     return secular_function_weighted(gamma, split, np.abs(d) ** 2)
 
 
+def _scan(lam, lam1, weights, beta, n2, mean_lam):
+    """The logarithmic sign scan of some lanes, one kernel call.
+
+    Per lane: whether G changes sign on its grid, the grid points (lo, hi)
+    around the first change, G at both, and the smallest |G| on the grid.
+    Values at round-off scale relative to the constituent trace terms count
+    as zero (degenerate spectra make G identically zero without an isolated
+    root).
+    """
+    grid = np.ascontiguousarray(np.geomspace(SCAN_LO_FACTOR * mean_lam,
+                                             SCAN_HI_FACTOR * mean_lam, SCAN_POINTS,
+                                             axis=-1))
+    vals, scales = _kernel(grid, lam, lam1, weights, beta, n2, derivative=False)
+    sign = np.sign(vals)
+    sign[np.abs(vals) <= 1e-12 * scales] = 0
+    # prev[:, j]: the last point before j with a nonzero sign, or -1
+    points = np.arange(grid.shape[1])
+    last = np.maximum.accumulate(np.where(sign != 0, points, -1), axis=1)
+    prev = np.concatenate([np.full((len(lam), 1), -1), last[:, :-1]], axis=1)
+    change = (sign != 0) & (prev >= 0) & (sign != np.take_along_axis(sign, prev, axis=1))
+    rows = np.arange(len(lam))
+    hi_at = change.argmax(axis=1)
+    lo_at = prev[rows, hi_at]
+    return (change.any(axis=1), grid[rows, lo_at], grid[rows, hi_at],
+            vals[rows, lo_at], vals[rows, hi_at], np.abs(vals).min(axis=1))
+
+
 def _solve_lanes(lam, lam1, weights, beta, n2, rho):
     """Solve G(gamma) = 0 on every lane; one SecularSolveReport per lane.
 
     lam, lam1 and weights hold one row per lane, all lanes split at the same
-    n1. One kernel call scans every lane's logarithmic grid for its first
-    sign change; a lane without one falls back. Newton then steps all
-    bracketed lanes together inside their brackets, with bisection
-    safeguards, taking G and G' from one kernel call per step; a lane leaves
-    once it converges, and lanes still open when the Newton budget is spent
-    finish by bisection. Iterations, residual and bracket are each lane's
-    own, and so are its bits. Failures are reported, never raised, so
-    Monte-Carlo runs always complete.
+    n1. A sign scan of every lane's logarithmic grid, in chunks of
+    LANE_CHUNK lanes, finds its first sign change; a lane without one falls
+    back. Newton then steps all bracketed lanes together inside their
+    brackets, with bisection safeguards, taking G and G' from one kernel
+    call per step; a lane leaves once it converges, and lanes still open
+    when the Newton budget is spent finish by bisection. Iterations,
+    residual and bracket are each lane's own, and so are its bits. Failures
+    are reported, never raised, so Monte-Carlo runs always complete.
     """
     weights = np.ascontiguousarray(weights, dtype=float)
     # positive: a split refuses a spectrum without a positive eigenvalue
@@ -212,34 +239,20 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho):
         # on the lanes still open: the arrays below shrink as lanes finish
         return _kernel(x, lam, lam1, weights, beta, n2, derivative)
 
-    # bracket: first sign change on a log grid; values at round-off scale
-    # relative to the constituent trace terms count as zero (degenerate
-    # spectra make G identically zero without an isolated root)
-    grid = np.ascontiguousarray(np.geomspace(SCAN_LO_FACTOR * mean_lam,
-                                             SCAN_HI_FACTOR * mean_lam, SCAN_POINTS,
-                                             axis=-1))
-    vals, scales = kernel(grid, derivative=False)
-    sign = np.sign(vals)
-    sign[np.abs(vals) <= 1e-12 * scales] = 0
-    # prev[:, j]: the last point before j with a nonzero sign, or -1
-    points = np.arange(grid.shape[1])
-    last = np.maximum.accumulate(np.where(sign != 0, points, -1), axis=1)
-    prev = np.concatenate([np.full((len(lam), 1), -1), last[:, :-1]], axis=1)
-    change = (sign != 0) & (prev >= 0) & (sign != np.take_along_axis(sign, prev, axis=1))
-    found = change.any(axis=1)
+    # each row sums its own contiguous data, so a chunk's bits are the
+    # whole stack's; chunks keep the (lanes, points, n) arrays small
+    scans = [_scan(lam[c], lam1[c], weights[c], beta, n2, mean_lam[c])
+             for c in lane_chunks(len(lam))]
+    found, lo, hi, g_lo, g_hi, floor = (np.concatenate(v) for v in zip(*scans))
     for i in np.flatnonzero(~found):
         reports[i] = SecularSolveReport(
-            gamma=rho * float(mean_lam[i]), iterations=0,
-            residual=float(np.abs(vals[i]).min()),
+            gamma=rho * float(mean_lam[i]), iterations=0, residual=float(floor[i]),
             converged=False, fallback_used=True)
 
     lanes = np.flatnonzero(found)
     if not lanes.size:
         return reports
-    hi_at = change[lanes].argmax(axis=1)
-    lo_at = prev[lanes, hi_at]
-    lo, hi = grid[lanes, lo_at], grid[lanes, hi_at]
-    g_lo, g_hi = vals[lanes, lo_at], vals[lanes, hi_at]
+    lo, hi, g_lo, g_hi = lo[lanes], hi[lanes], g_lo[lanes], g_hi[lanes]
     brackets = {i: (float(a), float(b)) for i, a, b in zip(lanes, lo, hi)}
     lam, lam1, weights = lam[lanes], lam1[lanes], weights[lanes]
 

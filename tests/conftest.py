@@ -52,29 +52,6 @@ def dense_secular_value(gamma, split, d):
     return t_a * t_b + (split.n2 / gamma) * t_a - t_d * t_e
 
 
-def grid_secular_values(split, weights, grid):
-    """Vectorized G over a gamma grid (dense broadcasting, oracle use only).
-
-    Forms inv = 1/(lambda + gamma)^2 once for the whole grid; each trace sum
-    is then a matrix-vector product with inv, the significant-block sums
-    with its first n1 columns (sigma1_sq is the leading block of lambda).
-    """
-    lam = split.es.eigenvalues
-    lam1 = split.sigma1_sq
-    beta = split.beta
-    inv = np.add.outer(grid, lam)
-    np.square(inv, out=inv)
-    np.reciprocal(inv, out=inv)
-    t_a, t_d = (inv @ np.stack([lam * weights, weights], axis=1)).T
-    # (beta lam1 + gamma) and lam1 (beta lam1 + gamma), split into the parts
-    # without and with gamma
-    b0, b1, e0, e1 = (inv[:, :split.n1] @ np.stack(
-        [beta * lam1, np.ones_like(lam1), beta * lam1**2, lam1], axis=1)).T
-    t_b = b0 + grid * b1
-    t_e = e0 + grid * e1
-    return t_a * t_b + (split.n2 / grid) * t_a - t_d * t_e
-
-
 def dense_quasi_gamma(es, r, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     """Quasi-optimality grid point from the dense regularized-estimate tensor.
 
@@ -96,37 +73,129 @@ def dense_quasi_gamma(es, r, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     return float(grid[int(np.argmin(diffs))])
 
 
-def grid_scan_root(split, weights, n_points=10**6, lo_factor=1e-9, hi_factor=1e3):
-    """First positive root of G by dense log-grid sign scan plus bisection.
+def _log_grid(lo, hi, n_points):
+    """(log10 lo, log10 step) of np.geomspace(lo, hi, n_points), from the
+    same scalar operations geomspace and linspace apply, so that
+    10 ** (j * step + log10 lo) is, bit for bit, its point j (but the
+    first and last, which geomspace sets to lo and hi)."""
+    log_lo, log_hi = np.log10(np.asarray(lo, dtype=float)), np.log10(np.asarray(hi, dtype=float))
+    return log_lo, np.subtract(log_hi, log_lo, dtype=float) / (n_points - 1)
 
-    Returns None when no sign change exists on the scanned interval.
+
+def grid_scan_roots(systems, n_points=10**6, lo_factor=1e-9, hi_factor=1e3):
+    """First positive root of G for each (split, weights) system, by a dense
+    log-grid sign scan plus bisection; None where the scan finds no sign change.
+
+    A system's grid is np.geomspace(lo_factor * mean eigenvalue, hi_factor *
+    mean eigenvalue, n_points); the first sign change is the first point j
+    with a nonzero sign that differs from point j + 1's, and a bisection on
+    the runtime G narrows it. The systems are scanned in batches, chunk by
+    chunk: the chunk of every system still scanning is one row of an array,
+    1/(lambda + gamma)^2 is a (systems, n, points) array, and its trace sums
+    are one matrix product per system. A system leaves at its first sign
+    change.
     """
-    mean_lam = split.es.eigenvalues.mean()
-    grid = np.geomspace(lo_factor * mean_lam, hi_factor * mean_lam, n_points)
-    # scan in chunks and stop at the first sign change; identical result to
-    # evaluating the whole grid, much cheaper when the root sits early
-    chunk = 50_000
-    lo = hi = s_lo = None
-    for start in range(0, n_points - 1, chunk):
-        block = grid[start:start + chunk + 1]  # overlap one point
-        vals = grid_secular_values(split, weights, block)
-        sign = np.sign(vals)
-        idx = np.nonzero((sign[:-1] != 0) & (sign[:-1] != sign[1:]))[0]
-        if idx.size:
-            lo, hi = float(block[idx[0]]), float(block[idx[0] + 1])
-            s_lo = sign[idx[0]]
+    systems = [(split, np.asarray(weights, dtype=float)) for split, weights in systems]
+    roots = []
+    for start in range(0, len(systems), _SCAN_SYSTEMS):
+        roots += _scan_batch(systems[start:start + _SCAN_SYSTEMS], n_points, lo_factor,
+                             hi_factor)
+    return roots
+
+
+# systems per batch and points per chunk: a batch's (systems, n, points)
+# array of a 10-element system is 2.6 MB
+_SCAN_SYSTEMS = 32
+_SCAN_CHUNK = 1024
+
+
+def _scan_batch(systems, n_points, lo_factor, hi_factor):
+    lam = np.array([split.es.eigenvalues for split, _ in systems])
+    rows, n = lam.shape
+    n2 = np.array([float(split.n2) for split, _ in systems])
+    # the trace sums' coefficients: t_a, t_d, then the parts of t_b and t_e
+    # without and with gamma, over the significant block only
+    coeffs = np.zeros((rows, 6, n))
+    for row, (split, weights) in enumerate(systems):
+        lam1, n1 = split.sigma1_sq, split.n1
+        coeffs[row, 0], coeffs[row, 1] = lam[row] * weights, weights
+        coeffs[row, 2:, :n1] = split.beta * lam1, np.ones(n1), split.beta * lam1**2, lam1
+    lam_one = np.stack([lam, np.ones_like(lam)], axis=-1)
+    ends = [(lo_factor * lam_i.mean(), hi_factor * lam_i.mean()) for lam_i in lam]
+    log_lo, step = (np.array(v) for v in zip(*(_log_grid(lo, hi, n_points) for lo, hi in ends)))
+
+    # one set of buffers for every chunk: fresh arrays of this size would be
+    # paged in anew each time. Row 0 of one_grid stays 1, row 1 is the grid.
+    one_grid = np.ones((rows, 2, _SCAN_CHUNK + 1))
+    inv = np.empty((rows, n, _SCAN_CHUNK + 1))
+    # each sum a block of its own: interleaved rows would make numpy copy the
+    # operands of every in-place step below
+    sums = np.empty((6, rows, _SCAN_CHUNK + 1))
+    brackets = [None] * rows
+    active = np.arange(rows)
+    for first in range(0, n_points - 1, _SCAN_CHUNK):
+        if not active.size:
             break
-    if lo is None:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.sign(secular.secular_function_weighted(mid, split, weights)) == s_lo:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * mid:
-            break
-    return 0.5 * (lo + hi)
+        # points first .. first + _SCAN_CHUNK: the last overlaps the next chunk
+        j = np.arange(first, min(first + _SCAN_CHUNK + 1, n_points), dtype=float)
+        k, width = len(active), len(j)
+        grid = one_grid[:k, 1, :width]
+        np.multiply(j, step[active, None], out=grid)
+        grid += log_lo[active, None]
+        np.power(10.0, grid, out=grid)
+        if first == 0:
+            grid[:, 0] = [ends[i][0] for i in active]
+        if j[-1] == n_points - 1:
+            grid[:, -1] = [ends[i][1] for i in active]
+        # lambda + gamma as [lambda, 1] @ [1, gamma]: products by 1 are exact,
+        # so each entry is the one rounding of the sum, and the matrix product
+        # runs faster than numpy's broadcast add
+        shifted = np.matmul(lam_one[active], one_grid[:k, :, :width], out=inv[:k, :, :width])
+        np.square(shifted, out=shifted)
+        np.reciprocal(shifted, out=shifted)
+        t_a, t_d, b0, b1, e0, e1 = sums[:, :k, :width]
+        np.matmul(coeffs[active], shifted, out=sums[:, :k, :width].transpose(1, 0, 2))
+        # in place: vals = t_a * t_b + (n2 / grid) * t_a - t_d * t_e, with
+        # t_b = b0 + grid * b1 and t_e = e0 + grid * e1
+        t_b = np.multiply(grid, b1, out=b1)
+        t_b += b0
+        t_e = np.multiply(grid, e1, out=e1)
+        t_e += e0
+        vals = np.multiply(t_a, t_b, out=t_b)
+        ratio = np.divide(n2[active, None], grid, out=b0)
+        ratio *= t_a
+        vals += ratio
+        vals -= np.multiply(t_d, t_e, out=t_e)
+        sign = np.sign(vals, out=t_a)
+        change = (sign[:, :-1] != 0) & (sign[:, :-1] != sign[:, 1:])
+        hit = change.any(axis=1)
+        for row in np.flatnonzero(hit):
+            at = change[row].argmax()
+            brackets[active[row]] = (float(grid[row, at]), float(grid[row, at + 1]),
+                                     sign[row, at])
+        active = active[~hit]
+
+    roots = []
+    for (split, weights), bracket in zip(systems, brackets):
+        if bracket is None:
+            roots.append(None)
+            continue
+        lo, hi, s_lo = bracket
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if np.sign(secular.secular_function_weighted(mid, split, weights)) == s_lo:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-14 * mid:
+                break
+        roots.append(0.5 * (lo + hi))
+    return roots
+
+
+def grid_scan_root(split, weights, **scan):
+    """grid_scan_roots of a single system."""
+    return grid_scan_roots([(split, weights)], **scan)[0]
 
 
 def loop_draw(rng, geometry, n_s, n_interferers, snr_db, inr_db, soi_error_bound_deg,

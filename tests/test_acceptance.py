@@ -13,7 +13,7 @@ import pytest
 
 from conftest import (
     gamma_mse_approx,
-    grid_scan_root,
+    grid_scan_roots,
     random_complex_vector,
     random_psd,
     reconstruct,
@@ -108,21 +108,22 @@ def test_criterion_3_solver_vs_grid_oracle():
     batch = _solve_protocol_batch(n, SEED)
     worst_rel = 0.0
     mismatches = residual_bad = 0
-    for split, w_b, rep_b, rep_z in batch:
-        for weights, rep in ((w_b, rep_b), (split.es.eigenvalues, rep_z)):
-            if not rep.converged:
-                continue
-            root = grid_scan_root(split, np.asarray(weights, dtype=float))
-            if root is None:
-                mismatches += 1
-                continue
-            rel = abs(rep.gamma - root) / root
-            worst_rel = max(worst_rel, rel)
-            if rel > 1e-6:
-                mismatches += 1
-            scale = secular_scale(rep.gamma, split, np.asarray(weights, float))
-            if rep.residual > 1e-6 * scale:
-                residual_bad += 1
+    solves = [(split, np.asarray(weights, dtype=float), rep)
+              for split, w_b, rep_b, rep_z in batch
+              for weights, rep in ((w_b, rep_b), (split.es.eigenvalues, rep_z))
+              if rep.converged]
+    roots = grid_scan_roots([(split, weights) for split, weights, _ in solves])
+    for (split, weights, rep), root in zip(solves, roots):
+        if root is None:
+            mismatches += 1
+            continue
+        rel = abs(rep.gamma - root) / root
+        worst_rel = max(worst_rel, rel)
+        if rel > 1e-6:
+            mismatches += 1
+        scale = secular_scale(rep.gamma, split, weights)
+        if rep.residual > 1e-6 * scale:
+            residual_bad += 1
     rate_b = sum(r.fallback_used for _, _, r, _ in batch) / n
     rate_z = sum(r.fallback_used for _, _, _, r in batch) / n
 

@@ -4,8 +4,10 @@
 ``run_trial`` is its one-lane case. Every record must equal, bit for bit, the
 record of the same trial run alone, whatever the index set, its order and
 the block split, on configs that reach every failure and fallback path.
-A sweep runs each block over every point, drawing each trial once; its rows
-must equal those aggregated from ``run_trials`` run point by point.
+A sweep runs each block over every point, drawing each trial once and
+stacking the points that share a snapshot count; its rows must equal those
+aggregated from ``run_trials`` run point by point, also when one trial of
+one stacked point fails.
 """
 
 import dataclasses
@@ -192,3 +194,75 @@ def test_pool_sweep_rows_equal_per_point_runs():
                            snr_db_grid=(30.0, -10.0, 30.0))
     for kind in ("snr", "snapshots"):
         assert repr(harness.run_sweep(cfg, kind, SEED).rows) == repr(_per_point_rows(cfg, kind))
+
+
+# three SNR points of one snapshot count: one block runs as a stack of 30
+# lanes, in three chunks of the grid-shaped work
+STACKED = dataclasses.replace(NEIGHBOURS, trials=len(INDICES), snr_db_grid=(0.0, 10.0, 20.0))
+POINT = 1
+
+
+def _stacked_run(monkeypatch, failed):
+    """Run STACKED under a patch that fails trial BAD at point POINT, then
+    hold it to the unpatched per-point runs: only that trial at that point
+    may change, only the methods failed fail, and the sweep's rows equal
+    the rows built point by point under the same patch."""
+    point_cfgs = [dataclasses.replace(STACKED, snr_db=v) for v in STACKED.snr_db_grid]
+    records = harness._run_points(point_cfgs, INDICES, SEED)
+    rows = harness.run_sweep(STACKED, "snr", SEED).rows
+    patched_rows = _per_point_rows(STACKED, "snr")
+    monkeypatch.undo()
+    bad = records[POINT][BAD]
+    assert set(bad.failures) == set(failed)
+    assert all(bad.sinr[m] is None for m in failed)
+    for p, cfg in enumerate(point_cfgs):
+        alone = run_trials(cfg, INDICES, SEED)
+        for i in INDICES:
+            if (p, i) != (POINT, BAD):
+                assert _fields(records[p][i]) == _fields(alone[i]), (p, i)
+    assert repr(rows) == repr(patched_rows)
+    for row, want in zip(rows, _per_point_rows(STACKED, "snr")):
+        if row.value != STACKED.snr_db_grid[POINT]:
+            assert repr(row) == repr(want)
+        elif row.method in failed:
+            assert row.trials == want.trials - 1
+    return bad
+
+
+def test_eigensolver_failure_in_a_stacked_point_fails_only_its_lane(monkeypatch):
+    # the true covariance of one trial at one SNR does not converge: the
+    # whole stack is redone lane by lane
+    cfg = dataclasses.replace(STACKED, snr_db=STACKED.snr_db_grid[POINT])
+    sl, _ = harness._draw_block(cfg, [BAD], SEED, cfg.n_snapshots)
+    target = arraysim.true_covariance_lanes(sl, arraysim.interference_noise_lanes(sl))[0]
+    real = np.linalg.eigh
+
+    def eigh(a):
+        if any(np.array_equal(m, target) for m in a.reshape(-1, *target.shape)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    bad = _stacked_run(monkeypatch, ["optimal"])
+    assert bad.failures == {"optimal": "Eigenvalues did not converge"}
+
+
+def test_zeroed_lane_in_a_stacked_point_fails_alone(monkeypatch):
+    # the sample covariance of one trial at one SNR is zero
+    cfg = dataclasses.replace(STACKED, snr_db=STACKED.snr_db_grid[POINT])
+    sl, z = harness._draw_block(cfg, [BAD], SEED, cfg.n_snapshots)
+    target = arraysim.sample_covariance(
+        arraysim.SnapshotSet(arraysim.synthesize_block(sl, z, cfg.n_snapshots)))[0]
+    real = arraysim.sample_covariance
+
+    def zero_target(snapshot_set):
+        c = real(snapshot_set)
+        for lane in c:
+            if np.array_equal(lane, target):
+                lane[...] = 0.0
+        return c
+
+    monkeypatch.setattr(arraysim, "sample_covariance", zero_target)
+    bad = _stacked_run(monkeypatch, ["sample-mvdr", "copra", "quasi-rls"])
+    assert "all-zero spectrum" in bad.failures["copra"]
+    assert "singular" in bad.failures["sample-mvdr"]

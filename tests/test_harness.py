@@ -188,6 +188,26 @@ class TestRunSweep:
                              "snapshots", master_seed=3)
         assert serial.rows == parallel.rows
 
+    def test_pool_no_larger_than_its_jobs(self, monkeypatch):
+        # the pool forks every worker at its first submit, so 4 configured
+        # workers over 2 blocks must open a pool of 2
+        import concurrent.futures
+        sizes = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        class Recording(real):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        cfg = _fast_cfg(trials=13)
+        serial = run_sweep(cfg, "snapshots", master_seed=3)
+        pooled = run_sweep(dataclasses.replace(cfg, workers=4), "snapshots", master_seed=3)
+        assert sizes == [2]
+        assert repr(pooled.rows) == repr(serial.rows)
+        assert pooled.config.workers == 4
+
     def test_optimal_curve_monotone_in_snr(self):
         cfg = _fast_cfg(trials=20, snr_db_grid=(-10.0, 0.0, 10.0, 20.0))
         res = run_sweep(cfg, "snr", master_seed=17)

@@ -1,7 +1,10 @@
 """The broadcast secular scan and the closed-form quasi selector against
 their scalar and dense forms, on random, rank-deficient, repeated-eigenvalue
-and zero-eigenvalue spectra.
+and zero-eigenvalue spectra, and their lane-chunked forms against each lane
+run alone.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,8 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import dense_quasi_gamma, random_complex_vector, random_psd, secular_scale
 from copra_beam import arraysim, secular
-from copra_beam.beamformers import quasi_optimal_gamma
-from copra_beam.linalg import HermitianEigensystem, hermitian_evd
+from copra_beam.beamformers import quasi_lanes, quasi_optimal_gamma
+from copra_beam.linalg import LANE_CHUNK, HermitianEigensystem, hermitian_evd, lanes_matmul
 
 SPECTRA = ("random", "rank-deficient", "repeated", "zeros", "snapshots")
 
@@ -76,3 +79,62 @@ def test_closed_form_quasi_matches_dense_oracle(case, single):
     es, obs = _spectrum(kind, n, rng)
     r = obs[:, 0] if single else obs
     assert quasi_optimal_gamma(es, r) == dense_quasi_gamma(es, r)
+
+
+def _hex(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(_hex(v) for v in value)
+    return value
+
+
+def _report_bits(report):
+    return {f.name: _hex(getattr(report, f.name)) for f in dataclasses.fields(report)}
+
+
+def _protocol_stack(lanes, n_s=30):
+    """Sample-covariance eigensystems, presumed steering vectors and
+    snapshots of protocol trials, one lane each."""
+    rngs = [np.random.default_rng([11, i]) for i in range(lanes)]
+    sl, y = arraysim.draw_trials(rngs, n_s)
+    return hermitian_evd(arraysim.sample_covariance(arraysim.SnapshotSet(y))), sl.a_presumed, y
+
+
+# two whole chunks and a remainder
+CHUNKED_LANES = 2 * LANE_CHUNK + 5
+
+
+def test_chunked_scan_moves_no_bits():
+    es, a, _ = _protocol_stack(CHUNKED_LANES)
+    lam = es.eigenvalues
+    n1 = 3
+    lam1 = lam[:, :n1].copy()
+    # steering-side weights bracket a root, snapshot-side ones (the
+    # eigenvalues) almost always fall back: alternate them along the stack
+    weights = np.abs(lanes_matmul(es.u.conj().swapaxes(-1, -2), a)) ** 2
+    weights[1::2] = lam[1::2]
+    args = (lam.shape[1] / n1, lam.shape[1] - n1, 0.1)
+    stacked = secular._solve_lanes(lam, lam1, weights, *args)
+    assert {r.fallback_used for r in stacked} == {True, False}
+    assert {r.converged for r in stacked[LANE_CHUNK:]} == {True, False}
+    for i, report in enumerate(stacked):
+        alone, = secular._solve_lanes(lam[i:i + 1], lam1[i:i + 1], weights[i:i + 1], *args)
+        assert _report_bits(report) == _report_bits(alone), i
+
+
+def test_chunked_quasi_moves_no_bits():
+    es, _, y = _protocol_stack(CHUNKED_LANES)
+    # an all-zero spectrum and a zero observation, in different chunks
+    flat, zero = LANE_CHUNK + 1, 2 * LANE_CHUNK + 2
+    es.eigenvalues[flat] = 0.0
+    r = y[:, :, 0].copy()
+    r[zero] = 0.0
+    stacked = quasi_lanes(es, (r, y))
+    for i in range(CHUNKED_LANES):
+        alone = quasi_lanes(es[i:i + 1], (r[i:i + 1], y[i:i + 1]))
+        for (gamma, errors), (gamma_1, errors_1) in zip(stacked, alone):
+            assert float(gamma[i]).hex() == float(gamma_1[0]).hex(), i
+            assert repr(errors[i]) == repr(errors_1[0]), i
+    assert "all-zero spectrum" in str(stacked[1][1][flat])
+    assert "observation is zero" in str(stacked[0][1][zero])
