@@ -28,6 +28,7 @@ __all__ = [
     "copra_lanes",
     "optimal_lanes",
     "quasi_lanes",
+    "mode_powers",
 ]
 
 _PD_RTOL = 1e-12
@@ -111,16 +112,26 @@ def optimal_lanes(sl, c_in):
     return mvdr_lanes(hermitian_evd(true_covariance_lanes(sl, c_in)), sl.a_true)
 
 
+def mode_powers(es, r):
+    """quasi_lanes' input: per lane of a (lanes, n) or (lanes, n, n_obs) stack
+    r, the powers p_i = sum_t |(U^H r)_it|^2 and whether r is zero."""
+    lanes, n = es.eigenvalues.shape
+    p = np.abs(lanes_matmul(_uh(es), r).reshape(lanes, n, -1))
+    p **= 2
+    return np.sum(p, axis=-1), ~r.reshape(lanes, -1).any(axis=-1)
+
+
 def quasi_lanes(es, observations, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     """Quasi-optimality selector on a geometric regularization grid.
 
-    For each observation stack r, returns (gamma, errors): each lane's grid
-    point minimizing the norm of the successive difference of the
-    regularized estimate filt(gamma) * (U^H r); ties break toward smaller
-    values. r is a (lanes, n) vector or (lanes, n, n_obs) matrix stack
-    (Frobenius norm). The squared norm is the closed form p @ diff(filt)^2
-    with p_i = sum_t |(U^H r)_it|^2, so no estimate is formed, and the grid
-    and diff(filt)^2 come from the spectrum alone, shared by every r.
+    For each observation, given as the (p, zero) mode_powers of an
+    observation stack r, returns (gamma, errors): each lane's grid point
+    minimizing the norm of the successive difference of the regularized
+    estimate filt(gamma) * (U^H r); ties break toward smaller values. A
+    matrix r takes the Frobenius norm. The squared norm is the closed form
+    p @ diff(filt)^2, so no estimate is formed, and the grid and
+    diff(filt)^2 come from the spectrum alone, shared by every observation.
+    Only the powers depend on r's width, so lanes may differ in n_obs.
     """
     lam = es.eigenvalues
     lanes, n = lam.shape
@@ -128,11 +139,9 @@ def quasi_lanes(es, observations, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     # a lane without a positive eigenvalue gets a harmless scale, so that the
     # grids of the others are built; it is flagged below
     top = np.where(flat, 1.0, lam[:, 0])
-    uh = _uh(es)
     errors = []
-    for r in observations:
-        errs = flag_lanes([None] * lanes, ~r.reshape(lanes, -1).any(axis=-1),
-                          lambda i: ValueError("observation is zero"))
+    for _, zero in observations:
+        errs = flag_lanes([None] * lanes, zero, lambda i: ValueError("observation is zero"))
         errors.append(flag_lanes(errs, flat, lambda i: ValueError(
             "cannot select gamma for an all-zero spectrum")))
     # the (lanes, n, n_grid) filter grid runs in chunks of lanes; each lane's
@@ -142,16 +151,15 @@ def quasi_lanes(es, observations, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
         grid = np.ascontiguousarray(
             np.geomspace(lo_factor * top[c], hi_factor * top[c], n_grid, axis=-1))
         sub = lam[c]
-        # squared in place, as is p below: keeps the selector's peak memory low
+        # squared in place, and dropped before the next chunk's is made:
+        # keeps the selector's peak memory low
         dfilt_sq = np.diff(np.sqrt(sub)[:, :, None] / (sub[:, :, None] + grid[:, None, :]),
                            axis=-1)
         dfilt_sq **= 2
-        for r, gamma in zip(observations, gammas):
-            p = np.abs(lanes_matmul(uh[c], r[c]).reshape(len(grid), n, -1))
-            p **= 2
-            p = np.sum(p, axis=-1)
-            diffs = np.sqrt(lanes_matmul(p, dfilt_sq))
+        for (p, _), gamma in zip(observations, gammas):
+            diffs = np.sqrt(lanes_matmul(p[c], dfilt_sq))
             gamma.append(grid[np.arange(len(grid)), np.argmin(diffs, axis=-1)])
+        del dfilt_sq
     return [(np.concatenate(gamma), errs) for gamma, errs in zip(gammas, errors)]
 
 
@@ -188,6 +196,6 @@ def optimal_weights(scenario):
 
 def quasi_optimal_gamma(es, r, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     """Quasi-optimality grid point of a single system; see quasi_lanes."""
-    r = np.asarray(r, dtype=complex)
-    (gamma, errors), = quasi_lanes(es[None], [r[None]], n_grid, lo_factor, hi_factor)
+    es, r = es[None], np.asarray(r, dtype=complex)[None]
+    (gamma, errors), = quasi_lanes(es, [mode_powers(es, r)], n_grid, lo_factor, hi_factor)
     return float(one_lane(gamma, errors))

@@ -3,19 +3,19 @@
 Each trial derives an independent random substream from (master seed, trial
 index) via numpy's SeedSequence, and trials run in blocks as the lanes of
 one array program whose lanes do not see each other, so aggregate results
-are bit-identical regardless of execution order, block split, point
-grouping or worker count. A sweep's unit of work is one block of trials
-over every point. Per trial run only its substream's generator and draws,
-once per sweep. Once per block and sweep run the steering vectors and the
-interference-plus-noise covariances, and once per block and SNR the
-clairvoyant weights. The points that share a snapshot count form a group:
-once per block and group run the stages from the sample covariance to the
-SINR, over one stack of every point's lanes (an SNR sweep is one group,
-with points x block lanes), each point at its SOI power and with its
-snapshots summed from a prefix of the draws. A group of one point (each
-point of a snapshot sweep, and run_trials) runs on the block itself. All
-methods see the same scenario and noise realizations, within a point and
-across points (paired comparison).
+are bit-identical regardless of execution order, block split, point set or
+worker count. A sweep's unit of work is one block of trials over every
+distinct point, of either sweep kind. Per trial run its generator and
+draws, once per sweep; per block the steering vectors and the
+interference-plus-noise covariances, and per block and SNR the clairvoyant
+weights. Per point run the stages that depend on its snapshot count: the
+snapshots, summed at its SOI power from a prefix of the draws, their sample
+covariances and eigensystems and the quasi selector's mode powers; then the
+snapshots are dropped. The split, both secular solves, the quasi selector,
+every method's weights and the SINR run once per block over one stack of
+every point's lanes. run_trials is the one-point case. All methods see the
+same scenario and noise realizations, within a point and across points
+(paired comparison).
 """
 
 import dataclasses
@@ -28,7 +28,7 @@ import numpy as np
 from . import arraysim, beamformers, secular
 from .beamformers import SingularCovarianceError
 from .config import ExperimentConfig
-from .linalg import flag_lanes, hermitian_evd
+from .linalg import HermitianEigensystem, flag_lanes, hermitian_evd
 
 __all__ = ["TrialRecord", "PointStats", "SweepResult", "output_sinr",
            "run_trials", "run_trial", "run_sweep"]
@@ -113,9 +113,10 @@ def output_sinr(w, scenario):
     return float(_sinr_lanes(wv[None, None], c_in, sl.a_true, sl.soi_power)[0, 0])
 
 
-# trials per block: enough to spread numpy's per-call cost; a stacked group
-# runs points x BLOCK lanes, whose grid-shaped work runs in chunks of
-# linalg.LANE_CHUNK lanes, so the peak memory stays flat
+# trials per block: enough to spread numpy's per-call cost; a sweep's stack
+# holds points x BLOCK lanes, whose snapshots exist one point at a time and
+# whose grid-shaped work runs in chunks of linalg.LANE_CHUNK lanes, so the
+# peak memory stays flat
 BLOCK = 10
 
 
@@ -138,83 +139,49 @@ def _run_points(point_cfgs, indices, master_seed):
     """The records of one block of trials at every point of a sweep, per point.
 
     The point configs differ at most in snr_db and n_snapshots. Each trial
-    is drawn once, with its Gaussians for the largest snapshot count, and
-    the steering vectors and interference-plus-noise covariances are built
-    once; the clairvoyant weights are built once per SNR. The points that
-    share a snapshot count form a group, in order of first appearance, and
-    every stage from the sample covariance on runs once per group: a group
-    of k points runs as one stack of k x lanes lanes, point-major, each
-    point's lanes at its SOI power with its snapshots from a prefix of the
-    draws. A group of one point runs on the block itself, stacking nothing.
-    A point's records are those run_trials gives for it alone.
+    is drawn once, for the largest snapshot count; the steering vectors and
+    interference-plus-noise covariances are built once, and the clairvoyant
+    weights once per SNR. The distinct points run as one stack through one
+    _run_block, and a repeated point gets its first occurrence's records: a
+    point's records are those run_trials gives for it alone.
     """
-    sl, z = _draw_block(point_cfgs[0], indices, master_seed,
-                        max(cfg.n_snapshots for cfg in point_cfgs))
+    cfg = point_cfgs[0]
+    sl, z = _draw_block(cfg, indices, master_seed, max(c.n_snapshots for c in point_cfgs))
     c_in = arraysim.interference_noise_lanes(sl)
-    optimal = {}
+    keys = list(dict.fromkeys((c.snr_db, c.n_snapshots) for c in point_cfgs))
+    blocks = {snr_db: sl.at_snr(snr_db) for snr_db, _ in keys}
+    points = [(blocks[snr_db], n_s) for snr_db, n_s in keys]
 
-    def clairvoyant(psl, snr_db):
-        # psl is the block at snr_db
-        if snr_db not in optimal:
-            optimal[snr_db] = beamformers.optimal_lanes(psl, c_in)
-        return optimal[snr_db]
+    def optimal():
+        # built once per SNR, handed to every point at that SNR
+        built = {snr_db: beamformers.optimal_lanes(psl, c_in) for snr_db, psl in blocks.items()}
+        return (_stack([built[snr_db][0] for snr_db, _ in keys]),
+                [e for snr_db, _ in keys for e in built[snr_db][1]])
 
-    lanes = len(indices)
-    groups = {}
-    for p, cfg in enumerate(point_cfgs):
-        groups.setdefault(cfg.n_snapshots, []).append(p)
-    out = [None] * len(point_cfgs)
-    for n_s, members in groups.items():
-        cfg = point_cfgs[members[0]]
-        if len(members) == 1:
-            psl = sl.at_snr(cfg.snr_db)
-            out[members[0]] = _run_guarded(
-                cfg, indices, psl, arraysim.synthesize_block(psl, z, n_s), c_in,
-                lambda: clairvoyant(psl, cfg.snr_db))
-            continue
-        snrs = [point_cfgs[p].snr_db for p in members]
-        psls = [sl.at_snr(snr_db) for snr_db in snrs]
-
-        def stacked_optimal():
-            parts = [clairvoyant(psl, snr_db) for psl, snr_db in zip(psls, snrs)]
-            return (np.concatenate([w for w, _ in parts]),
-                    [e for _, errors in parts for e in errors])
-
-        y = np.concatenate([arraysim.synthesize_block(psl, z, n_s) for psl in psls])
-        records = _run_guarded(
-            cfg, list(indices) * len(snrs), arraysim.Scenario.concat(psls), y,
-            np.concatenate([c_in] * len(snrs)), stacked_optimal)
-        for j, p in enumerate(members):
-            out[p] = records[j * lanes:(j + 1) * lanes]
-    return out
-
-
-def _run_guarded(cfg, indices, sl, y, c_in, optimal):
-    """_run_block, redone lane by lane when the stacked block raises.
-
-    A stacked eigh fails as a whole when one lane fails; redone lane by lane,
-    only that lane's method is recorded as failed.
-    """
     try:
-        return _run_block(cfg, indices, sl, y, c_in, optimal)
+        records = _run_block(cfg, indices, points, z, c_in, optimal)
     except (ValueError, np.linalg.LinAlgError):
-        if len(indices) == 1:
+        if len(points) * len(indices) == 1:
             raise
-        return [rec for i in range(len(indices)) for rec in _run_block(
-            cfg, indices[i:i + 1], sl[i:i + 1], y[i:i + 1], c_in[i:i + 1])]
+        # a stacked eigh fails as a whole when one lane fails; redone lane by
+        # lane, each from its own point's scenario and draws, only that
+        # lane's methods fail
+        records = [rec for psl, n_s in points for i in range(len(indices))
+                   for rec in _run_block(cfg, indices[i:i + 1], [(psl[i:i + 1], n_s)],
+                                         z[i:i + 1], c_in[i:i + 1])]
+    lanes = len(indices)
+    by_point = {key: records[j * lanes:(j + 1) * lanes] for j, key in enumerate(keys)}
+    return [by_point[c.snr_db, c.n_snapshots] for c in point_cfgs]
 
 
 def run_trials(cfg, indices, master_seed):
     """Run the Monte-Carlo trials of the given indices, in that order.
 
-    The trials run in blocks of BLOCK lanes: each trial draws its scenario
-    and snapshots from its own substream, and every stage from the steering
-    vectors on runs over the whole block; this is the one-point case of a
-    sweep's block.
-    A trial's record does not depend on the other trials of its block, so it
-    is the same for any index set, order or block split. Per-method failures
-    are recorded as missing values; nothing raises, so long sweeps always
-    complete.
+    The one-point case of a sweep: the trials run in blocks of BLOCK lanes,
+    each drawn from its own substream. A trial's record does not depend on
+    the other trials of its block, so it is the same for any index set,
+    order or block split. Per-method failures are recorded as missing
+    values; nothing raises, so long sweeps always complete.
     """
     indices = [int(i) for i in indices]
     return [rec for start in range(0, len(indices), BLOCK)
@@ -226,17 +193,58 @@ def run_trial(cfg, trial_index, master_seed):
     return run_trials(cfg, [trial_index], master_seed)[0]
 
 
-def _run_block(cfg, indices, sl, y, c_in, optimal=None):
-    """The records of a block of drawn trials: decompose once, evaluate all methods.
-
-    sl is the block's Scenario, y its (lanes, n, n_s) snapshots and c_in
-    its interference-plus-noise covariances. optimal, when given, returns
-    the block's clairvoyant (weights, errors); otherwise they are built from
-    sl and c_in. cfg's snr_db is not read: each lane's SOI power is sl's.
+def _observe(cfg, sl, z, n_s, lone):
+    """A point's stage that depends on its snapshot count: synthesizes its
+    snapshots from the draws z and returns what the methods read of them,
+    (cov, es, mode powers, zero flags, per-snapshot weights), None where no
+    method reads it; the snapshots are dropped before the next point's are
+    made. A lone lane whose eigensystem fails returns its error as es.
     """
-    lanes = len(indices)
+    y = arraysim.synthesize_block(sl, z, n_s)
     cov = arraysim.sample_covariance(arraysim.SnapshotSet(y))
-    es = hermitian_evd(cov)
+    try:
+        es = hermitian_evd(cov)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        if not lone:
+            raise
+        return cov, exc, None, None, None
+    y_powers, y_zero = (beamformers.mode_powers(es, y) if "quasi-rls" in cfg.methods
+                        else (None, None))
+    weights = (secular.per_snapshot_weights(es, y) if "copra" in cfg.methods
+               and cfg.gamma_z_policy == "per-snapshot-median" else None)
+    return cov, es, y_powers, y_zero, weights
+
+
+def _stack(parts):
+    """The points' parts as one lane stack, point-major; one part as it is."""
+    first = parts[0]
+    if len(parts) == 1 or first is None:
+        return first
+    if isinstance(first, list):
+        return [x for part in parts for x in part]
+    if isinstance(first, HermitianEigensystem):
+        return HermitianEigensystem(*(np.concatenate([getattr(e, k) for e in parts])
+                                      for k in ("u", "eigenvalues")))
+    return (arraysim.Scenario.concat(parts) if isinstance(first, arraysim.Scenario)
+            else np.concatenate(parts))
+
+
+def _run_block(cfg, indices, points, z, c_in, optimal=None):
+    """The records of a block of drawn trials at some points, point-major.
+
+    points holds (Scenario of the block at the point's SOI power, n_s) pairs,
+    z the lanes' draws and c_in their interference-plus-noise covariances.
+    Each point's snapshot stage runs on its own (_observe), every later stage
+    once over the stack of every point's lanes. optimal, when given, returns
+    the stack's clairvoyant (weights, errors).
+    """
+    lanes = len(indices) * len(points)
+    # each point's own parts are dropped once stacked
+    cov, es, y_powers, y_zero, snapshot_weights = (_stack(parts) for parts in zip(
+        *[_observe(cfg, psl, z, n_s, lanes == 1) for psl, n_s in points]))
+    sl = _stack([psl for psl, _ in points])
+    c_in = _stack([c_in] * len(points))
+    indices = list(indices) * len(points)
     a = sl.a_presumed
 
     weights, method_errors = [], []
@@ -246,6 +254,9 @@ def _run_block(cfg, indices, sl, y, c_in, optimal=None):
 
     for method in cfg.methods:
         try:
+            if isinstance(es, Exception) and method in ("sample-mvdr", "copra", "quasi-rls"):
+                # a lone lane whose sample eigensystem failed
+                raise es
             if method == "sample-mvdr":
                 w, errors = beamformers.mvdr_lanes(es, a)
                 mvdr_loaded = np.array([isinstance(e, SingularCovarianceError)
@@ -268,7 +279,8 @@ def _run_block(cfg, indices, sl, y, c_in, optimal=None):
                     "cannot split an all-zero spectrum"))
                 for idx, split in groups:
                     reports = secular.copra_gammas_lanes(
-                        split, a[idx], y[idx], snapshot_policy=cfg.gamma_z_policy)
+                        split, a[idx], snapshot_weights and [snapshot_weights[i] for i in idx],
+                        snapshot_policy=cfg.gamma_z_policy)
                     w[idx], split_errors = beamformers.copra_lanes(
                         split.es, np.array([b.gamma for b, _ in reports]),
                         np.array([z.gamma for _, z in reports]), a[idx])
@@ -280,7 +292,8 @@ def _run_block(cfg, indices, sl, y, c_in, optimal=None):
             elif method == "quasi-rls":
                 q = cfg.quasi_grid
                 (gb, errors_b), (gz, errors_z) = beamformers.quasi_lanes(
-                    es, (a, y), q.points, q.lo_factor, q.hi_factor)
+                    es, (beamformers.mode_powers(es, a), (y_powers, y_zero)),
+                    q.points, q.lo_factor, q.hi_factor)
                 w, errors = beamformers.copra_lanes(es, gb, gz, a)
                 errors = [eb or ez or e for eb, ez, e in zip(errors_b, errors_z, errors)]
             elif method == "optimal":
@@ -311,19 +324,11 @@ def _run_block(cfg, indices, sl, y, c_in, optimal=None):
 
     soi_doa, soi_error = sl.soi_doa_deg.tolist(), sl.soi_error_deg.tolist()
     interferer_doas = sl.interferer_doas_deg.tolist()
-    return [
-        TrialRecord(
-            trial_index=index,
-            sinr=sinr[i],
-            failures=failures[i],
-            mvdr_loaded=bool(mvdr_loaded[i]),
-            soi_doa_deg=soi_doa[i],
-            soi_error_deg=soi_error[i],
-            interferer_doas_deg=tuple(interferer_doas[i]),
-            **copra[i],
-        )
-        for i, index in enumerate(indices)
-    ]
+    return [TrialRecord(trial_index=index, sinr=sinr[i], failures=failures[i],
+                        mvdr_loaded=bool(mvdr_loaded[i]), soi_doa_deg=soi_doa[i],
+                        soi_error_deg=soi_error[i],
+                        interferer_doas_deg=tuple(interferer_doas[i]), **copra[i])
+            for i, index in enumerate(indices)]
 
 
 def _fallback(record, method):
@@ -372,21 +377,17 @@ def run_sweep(cfg, sweep_kind, master_seed=None):
     realizations. A job is one block of trials over every point: each trial
     is drawn once per sweep, not once per point.
     """
-    if sweep_kind == "snr":
-        points = list(cfg.snr_db_grid)
-    elif sweep_kind == "snapshots":
-        points = [int(v) for v in cfg.snapshot_grid]
-    else:
+    grids = {"snr": ("snr_db", float, cfg.snr_db_grid),
+             "snapshots": ("n_snapshots", int, cfg.snapshot_grid)}
+    if sweep_kind not in grids:
         raise ValueError("sweep kind must be 'snr' or 'snapshots'")
+    name, kind, points = grids[sweep_kind]
     if not points:
         raise ValueError("sweep grid is empty")
     if master_seed is None:
         master_seed = cfg.seed
 
-    if sweep_kind == "snr":
-        point_cfgs = [dataclasses.replace(cfg, snr_db=float(v)) for v in points]
-    else:
-        point_cfgs = [dataclasses.replace(cfg, n_snapshots=int(v)) for v in points]
+    point_cfgs = [dataclasses.replace(cfg, **{name: kind(v)}) for v in points]
     blocks = [range(s, min(s + BLOCK, cfg.trials)) for s in range(0, cfg.trials, BLOCK)]
     # one pool for the sweep, fed whole blocks; map keeps the block order,
     # whatever the worker count, and a finished block leaves only its columns

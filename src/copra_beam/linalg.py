@@ -46,20 +46,12 @@ class HermitianEigensystem:
 def hermitian_evd(a):
     """Eigendecomposition of a Hermitian matrix with descending eigenvalues.
 
-    Negative eigenvalues arising from round-off (rank-deficient sample
-    covariances) are clamped to exactly zero.
-
-    Args:
-        a: square Hermitian ndarray (within relative tolerance 1e-8), or a
-            (lanes, n, n) stack of them.
-
-    Returns:
-        HermitianEigensystem with the same leading shape.
-
-    Raises:
-        ValueError: non-square input or Hermitian symmetry violated.
-        np.linalg.LinAlgError: eigensolver failed to converge (on a stack,
-            for any lane).
+    a is a square Hermitian matrix (within relative tolerance 1e-8), or a
+    (lanes, n, n) stack of them; the HermitianEigensystem has the same
+    leading shape. Negative eigenvalues arising from round-off
+    (rank-deficient sample covariances) are clamped to exactly zero. Raises
+    ValueError for a non-square or non-Hermitian input and LinAlgError when
+    the eigensolver does not converge (on a stack, for any lane).
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:

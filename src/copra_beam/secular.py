@@ -28,6 +28,7 @@ __all__ = [
     "solve_secular_weighted",
     "copra_gammas",
     "copra_gammas_lanes",
+    "per_snapshot_weights",
     "lambda_o_sq",
 ]
 
@@ -159,14 +160,15 @@ def _kernel(gamma, lam, lam1, weights, beta, n2, derivative):
                - dt_d * t_e - t_d * dt_e)
 
 
-def _secular_terms(gamma, split, weights):
-    """(G, dG/dgamma, scale) of a single system at a scalar gamma or 1-D grid."""
+def _secular_terms(gamma, split, weights, derivative=True):
+    """(G, dG/dgamma, scale), or (G, scale) in one pass, of a system at a gamma or 1-D grid."""
     args = (np.reshape(np.asarray(gamma, dtype=float), (1, -1)),
             split.es.eigenvalues[None], split.sigma1_sq[None],
             np.ascontiguousarray(weights, dtype=float)[None], split.beta, split.n2)
-    g, dg = _kernel(*args, derivative=True)
-    scale = _kernel(*args, derivative=False)[1]
-    return tuple(v.reshape(np.shape(gamma))[()] for v in (g, dg, scale))
+    out = _kernel(*args, derivative=False)
+    if derivative:
+        out = (*_kernel(*args, derivative=True), out[1])
+    return tuple(v.reshape(np.shape(gamma))[()] for v in out)
 
 
 def _checked_weights(split, weights):
@@ -181,7 +183,8 @@ def secular_function_weighted(gamma, split, weights):
     """G(gamma) with the observation entering only through |d_i|^2 weights."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return _secular_terms(gamma, split, _checked_weights(split, weights))[0]
+    # G takes the same operations with or without the derivative
+    return _secular_terms(gamma, split, _checked_weights(split, weights), derivative=False)[0]
 
 
 def secular_function(gamma, split, d):
@@ -321,58 +324,61 @@ def solve_secular(split, d):
     return solve_secular_weighted(split, np.abs(d) ** 2)
 
 
-def copra_gammas_lanes(split, a_presumed, snapshots, snapshot_policy="averaged"):
+def per_snapshot_weights(es, y):
+    """Per lane of (lanes, n, n_s) snapshots y, the (n_s, n) |U^H y_t|^2."""
+    uh = es.u.conj().swapaxes(-1, -2)
+    return [np.abs(uh[i] @ y[i]).T ** 2 for i in range(len(y))]
+
+
+def copra_gammas_lanes(split, a_presumed, snapshot_weights=None, snapshot_policy="averaged"):
     """Solve for the steering-side and snapshot-side regularization parameters.
 
-    split holds a stack of lanes, a_presumed is (lanes, n) and snapshots is
-    (lanes, n, n_s); returns one (report_b, report_z) pair of
-    SecularSolveReports per lane. The steering-side solve uses d = U^H a.
+    split holds a stack of lanes and a_presumed is (lanes, n); returns one
+    (report_b, report_z) pair of SecularSolveReports per lane. The
+    steering-side solve uses d = U^H a.
     For the snapshot side the default policy replaces |d_i|^2 by its average
     over all snapshots, which equals the covariance eigenvalue lambda_i; the
-    alternative solves per snapshot and takes the median gamma. Its report
-    sums the iterations and takes the largest residual; it is converged only
-    if every solve converged and a fallback if any solve fell back.
+    alternative solves per snapshot of snapshot_weights (per_snapshot_weights,
+    lanes may differ in n_s) and takes the median gamma. Its report sums the
+    iterations and takes the largest residual; it is converged only if every
+    solve converged and a fallback if any solve fell back.
     """
     if snapshot_policy not in ("averaged", "per-snapshot-median"):
         raise ValueError("unknown snapshot policy %r" % snapshot_policy)
-    es = split.es
-    lam, lam1 = es.eigenvalues, split.sigma1_sq
-    uh = es.u.conj().swapaxes(-1, -2)
-    weights_b = np.abs(lanes_matmul(uh, a_presumed)) ** 2
+    lam, lam1 = split.es.eigenvalues, split.sigma1_sq
+    weights_b = np.abs(lanes_matmul(split.es.u.conj().swapaxes(-1, -2), a_presumed)) ** 2
     lanes = len(lam)
-
     if snapshot_policy == "averaged":
         # mean over snapshots of |U^H y_t|^2 equals the eigenvalues of the
-        # sample covariance formed from the same snapshots; both sides run
-        # as lanes of one solve
-        reports = _solve_lanes(np.concatenate([lam, lam]), np.concatenate([lam1, lam1]),
-                               np.concatenate([weights_b, lam]),
-                               split.beta, split.n2, split.rho)
-        reports_b, reports_z = reports[:lanes], reports[lanes:]
+        # sample covariance formed from the same snapshots
+        counts, weights_z = np.ones(lanes, dtype=int), lam
     else:
-        reports_b = _solve_lanes(lam, lam1, weights_b, split.beta, split.n2, split.rho)
-        reports_z = []
-        for i in range(lanes):
-            # every snapshot of lane i is a lane of its own
-            weights = np.abs(uh[i] @ snapshots[i]).T ** 2
-            rows = np.full(len(weights), i)
-            reps = _solve_lanes(lam[rows], lam1[rows], weights,
-                                split.beta, split.n2, split.rho)
-            reports_z.append(SecularSolveReport(
-                gamma=float(np.median([r.gamma for r in reps])),
-                iterations=sum(r.iterations for r in reps),
-                residual=max(r.residual for r in reps),
-                converged=all(r.converged for r in reps),
-                fallback_used=any(r.fallback_used for r in reps)))
-
+        # every snapshot of every lane is a lane of its own
+        counts = [len(w) for w in snapshot_weights]
+        weights_z = np.concatenate(snapshot_weights)
+    rows = np.repeat(np.arange(lanes), counts)
+    # both sides run as lanes of one solve
+    reports = _solve_lanes(np.concatenate([lam, lam[rows]]), np.concatenate([lam1, lam1[rows]]),
+                           np.concatenate([weights_b, weights_z]), split.beta, split.n2, split.rho)
+    reports_b, reports_z = reports[:lanes], reports[lanes:]
+    if snapshot_policy != "averaged":
+        reports_z = [SecularSolveReport(
+            gamma=float(np.median([r.gamma for r in reps])),
+            iterations=sum(r.iterations for r in reps),
+            residual=max(r.residual for r in reps),
+            converged=all(r.converged for r in reps),
+            fallback_used=any(r.fallback_used for r in reps))
+            for reps in (reports_z[end - n:end] for n, end in zip(counts, np.cumsum(counts)))]
     return list(zip(reports_b, reports_z))
 
 
 def copra_gammas(split, a_presumed, snapshots, snapshot_policy="averaged"):
     """(report_b, report_z) of a single system; see copra_gammas_lanes."""
-    return copra_gammas_lanes(_split(split.es[None], split.n1, split.rho),
+    es = split.es[None]
+    return copra_gammas_lanes(_split(es, split.n1, split.rho),
                               np.asarray(a_presumed, dtype=complex)[None],
-                              snapshots.snapshots[None], snapshot_policy)[0]
+                              per_snapshot_weights(es, snapshots.snapshots[None]),
+                              snapshot_policy)[0]
 
 
 def lambda_o_sq(gamma, es, r):

@@ -5,12 +5,13 @@
 record of the same trial run alone, whatever the index set, its order and
 the block split, on configs that reach every failure and fallback path.
 A sweep runs each block over every point, drawing each trial once and
-stacking the points that share a snapshot count; its rows must equal those
-aggregated from ``run_trials`` run point by point, also when one trial of
-one stacked point fails.
+stacking every distinct point; its rows must equal those aggregated from
+``run_trials`` run point by point, also when one trial of one stacked point
+fails.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 from hypothesis import given, settings
@@ -266,3 +267,134 @@ def test_zeroed_lane_in_a_stacked_point_fails_alone(monkeypatch):
     bad = _stacked_run(monkeypatch, ["sample-mvdr", "copra", "quasi-rls"])
     assert "all-zero spectrum" in bad.failures["copra"]
     assert "singular" in bad.failures["sample-mvdr"]
+
+
+# three snapshot counts at one SNR, one of them below the element count: one
+# block runs as a stack of 30 lanes
+STACKED_SNAPSHOTS = dataclasses.replace(STACKED, snapshot_grid=(10, 4, 24))
+
+
+def _stacked_snapshot_run(monkeypatch, failed):
+    """_stacked_run for STACKED_SNAPSHOTS, a snapshot sweep: only trial BAD
+    at point POINT may change, only the methods failed fail, and the sweep's
+    rows equal the rows built point by point under the same patch."""
+    point_cfgs = [dataclasses.replace(STACKED_SNAPSHOTS, n_snapshots=v)
+                  for v in STACKED_SNAPSHOTS.snapshot_grid]
+    records = harness._run_points(point_cfgs, INDICES, SEED)
+    rows = harness.run_sweep(STACKED_SNAPSHOTS, "snapshots", SEED).rows
+    patched_rows = _per_point_rows(STACKED_SNAPSHOTS, "snapshots")
+    monkeypatch.undo()
+    bad = records[POINT][BAD]
+    assert set(bad.failures) == set(failed)
+    assert all(bad.sinr[m] is None for m in failed)
+    for p, cfg in enumerate(point_cfgs):
+        alone = run_trials(cfg, INDICES, SEED)
+        for i in INDICES:
+            if (p, i) != (POINT, BAD):
+                assert _fields(records[p][i]) == _fields(alone[i]), (p, i)
+    assert repr(rows) == repr(patched_rows)
+    for row, want in zip(rows, _per_point_rows(STACKED_SNAPSHOTS, "snapshots")):
+        if row.value != STACKED_SNAPSHOTS.snapshot_grid[POINT]:
+            assert repr(row) == repr(want)
+        elif row.method in failed:
+            assert row.trials == want.trials - 1
+    return bad
+
+
+def _bad_sample_covariance():
+    """The sample covariance of trial BAD at point POINT of STACKED_SNAPSHOTS,
+    drawn alone."""
+    n_s = STACKED_SNAPSHOTS.snapshot_grid[POINT]
+    sl, z = harness._draw_block(STACKED_SNAPSHOTS, [BAD], SEED, n_s)
+    return arraysim.sample_covariance(
+        arraysim.SnapshotSet(arraysim.synthesize_block(sl, z, n_s)))[0]
+
+
+def test_sample_eigensolver_failure_in_a_stacked_snapshot_point_fails_only_its_lane(
+        monkeypatch):
+    # the sample covariance of one trial at one snapshot count does not
+    # converge: the stack is redone lane by lane, and that lane fails the
+    # methods that read the sample eigensystem
+    target = _bad_sample_covariance()
+    real = np.linalg.eigh
+
+    def eigh(a):
+        if any(np.array_equal(m, target) for m in a.reshape(-1, *target.shape)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    failed = ["sample-mvdr", "copra", "quasi-rls"]
+    bad = _stacked_snapshot_run(monkeypatch, failed)
+    assert bad.failures == {m: "Eigenvalues did not converge" for m in failed}
+
+
+def test_zeroed_lane_in_a_stacked_snapshot_point_fails_alone(monkeypatch):
+    target = _bad_sample_covariance()
+    real = arraysim.sample_covariance
+
+    def zero_target(snapshot_set):
+        c = real(snapshot_set)
+        for lane in c:
+            if np.array_equal(lane, target):
+                lane[...] = 0.0
+        return c
+
+    monkeypatch.setattr(arraysim, "sample_covariance", zero_target)
+    bad = _stacked_snapshot_run(monkeypatch, ["sample-mvdr", "copra", "quasi-rls"])
+    assert "all-zero spectrum" in bad.failures["copra"]
+    assert "singular" in bad.failures["sample-mvdr"]
+
+
+def _stack_sizes(monkeypatch):
+    """The lane count of every stack the SINR runs over, as it happens."""
+    real, sizes = harness._sinr_lanes, []
+
+    def spy(w, *args):
+        sizes.append(len(w))
+        return real(w, *args)
+
+    monkeypatch.setattr(harness, "_sinr_lanes", spy)
+    return sizes
+
+
+def test_snapshot_sweep_runs_one_stack_per_block(monkeypatch):
+    # three snapshot counts; 23 trials are blocks of 10, 10 and 3
+    for trials, stacks in ((10, [30]), (23, [30, 30, 9])):
+        cfg = dataclasses.replace(STACKED_SNAPSHOTS, trials=trials)
+        sizes = _stack_sizes(monkeypatch)
+        rows = harness.run_sweep(cfg, "snapshots", SEED).rows
+        monkeypatch.undo()
+        assert sizes == stacks, trials
+        assert repr(rows) == repr(_per_point_rows(cfg, "snapshots")), trials
+
+
+def test_repeated_point_runs_once(monkeypatch):
+    # a repeated point's lanes are not stacked again: it takes the records
+    # of its first occurrence
+    cfg = ExperimentConfig(trials=10, n_elements=6, snapshot_grid=(12, 3, 1, 12),
+                           snr_db_grid=(30.0, -10.0, 30.0))
+    for kind, lanes in (("snr", 20), ("snapshots", 30)):
+        sizes = _stack_sizes(monkeypatch)
+        rows = harness.run_sweep(cfg, kind, SEED).rows
+        monkeypatch.undo()
+        assert sizes == [lanes], kind
+        assert repr(rows) == repr(_per_point_rows(cfg, kind)), kind
+
+
+def test_each_point_drops_its_snapshots_before_the_next(monkeypatch):
+    # the stack holds every point's covariances and eigensystems, but never
+    # two points' snapshots at once
+    real, made = arraysim.synthesize_block, []
+
+    def spy(*args):
+        assert all(ref() is None for ref in made), len(made)
+        y = real(*args)
+        made.append(weakref.ref(y))
+        return y
+
+    monkeypatch.setattr(arraysim, "synthesize_block", spy)
+    for kind in ("snr", "snapshots"):
+        del made[:]
+        harness.run_sweep(STACKED_SNAPSHOTS, kind, SEED)
+        assert len(made) == 3, kind

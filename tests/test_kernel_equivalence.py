@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_quasi_gamma, random_complex_vector, random_psd, secular_scale
 from copra_beam import arraysim, secular
-from copra_beam.beamformers import quasi_lanes, quasi_optimal_gamma
+from copra_beam.beamformers import mode_powers, quasi_lanes, quasi_optimal_gamma
 from copra_beam.linalg import LANE_CHUNK, HermitianEigensystem, hermitian_evd, lanes_matmul
 
 SPECTRA = ("random", "rank-deficient", "repeated", "zeros", "snapshots")
@@ -130,9 +130,10 @@ def test_chunked_quasi_moves_no_bits():
     es.eigenvalues[flat] = 0.0
     r = y[:, :, 0].copy()
     r[zero] = 0.0
-    stacked = quasi_lanes(es, (r, y))
+    stacked = quasi_lanes(es, (mode_powers(es, r), mode_powers(es, y)))
     for i in range(CHUNKED_LANES):
-        alone = quasi_lanes(es[i:i + 1], (r[i:i + 1], y[i:i + 1]))
+        lane = es[i:i + 1]
+        alone = quasi_lanes(lane, (mode_powers(lane, r[i:i + 1]), mode_powers(lane, y[i:i + 1])))
         for (gamma, errors), (gamma_1, errors_1) in zip(stacked, alone):
             assert float(gamma[i]).hex() == float(gamma_1[0]).hex(), i
             assert repr(errors[i]) == repr(errors_1[0]), i

@@ -10,6 +10,7 @@ from conftest import (
     rls_mse,
     secular_derivative_weighted,
 )
+from copra_beam import secular
 from copra_beam.arraysim import draw_scenario, sample_covariance, synthesize_snapshots
 from copra_beam.linalg import HermitianEigensystem, hermitian_evd
 from copra_beam.secular import (
@@ -119,6 +120,25 @@ class TestSecularFunction:
                   - secular_function_weighted(gamma - h, split, w)) / (2 * h)
             an = secular_derivative_weighted(gamma, split, w)
             assert abs(an - fd) <= 1e-5 * max(abs(fd), 1e-12)
+
+    def test_scalar_value_takes_one_kernel_pass(self, monkeypatch):
+        # G alone needs neither G' nor the scale; it keeps the bits of the
+        # pass that also forms G'
+        rng = np.random.default_rng(43)
+        split = split_eigenvalues(hermitian_evd(random_psd(rng, 6)), 0.3)
+        w = np.abs(random_complex_vector(rng, 6)) ** 2
+        real, calls = secular._kernel, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(secular, "_kernel", counted)
+        for gamma in (0.1, 1.0, 10.0):
+            del calls[:]
+            g = secular_function_weighted(gamma, split, w)
+            assert len(calls) == 1
+            assert float(g).hex() == float(secular._secular_terms(gamma, split, w)[0]).hex()
 
 
 class TestSolve:
