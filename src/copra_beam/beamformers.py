@@ -4,9 +4,9 @@ quasi-optimality regularization selector.
 All spectral filtering goes through one shared eigendecomposition of the
 sample covariance; no second inversion pathway exists. Each method is a
 lane kernel over a stack of trials, returning the weights of every lane and
-the error each lane would raise on its own (None when it succeeds); a lane's
-result does not depend on the other lanes. The single-system functions are
-the one-lane case of those kernels.
+the error each lane would raise on its own (None when it succeeds), its
+eigensystem's first; a lane's result does not depend on the other lanes. The
+single-system functions are the one-lane case of those kernels.
 """
 
 from dataclasses import dataclass
@@ -60,7 +60,7 @@ def mvdr_lanes(es, a):
     SingularCovarianceError. Returns (w, errors).
     """
     lam = es.eigenvalues
-    errors = flag_lanes([None] * len(lam), ~a.any(axis=-1),
+    errors = flag_lanes(es.errors.tolist(), ~a.any(axis=-1),
                         lambda i: ValueError("steering vector is zero"))
     flag_lanes(errors, lam[:, -1] <= _PD_RTOL * lam[:, 0],
                lambda i: SingularCovarianceError(
@@ -88,7 +88,7 @@ def copra_lanes(es, gamma_b, gamma_z, a):
     """
     lam = es.eigenvalues
     gb, gz = gamma_b[:, None], gamma_z[:, None]
-    errors = flag_lanes([None] * len(lam), (gamma_b < 0) | (gamma_z < 0),
+    errors = flag_lanes(es.errors.tolist(), (gamma_b < 0) | (gamma_z < 0),
                         lambda i: ValueError("regularization parameters must be >= 0"))
     flag_lanes(errors, ((gamma_b == 0) | (gamma_z == 0)) & (lam[:, -1] <= _PD_RTOL * lam[:, 0]),
                lambda i: SingularCovarianceError(
@@ -135,15 +135,17 @@ def quasi_lanes(es, observations, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     """
     lam = es.eigenvalues
     lanes, n = lam.shape
-    flat = ~(lam[:, 0] > 0)
-    # a lane without a positive eigenvalue gets a harmless scale, so that the
+    # a lane without a positive eigenvalue, or whose grid would start at
+    # zero (lo_factor * top underflows), gets a harmless scale, so that the
     # grids of the others are built; it is flagged below
-    top = np.where(flat, 1.0, lam[:, 0])
+    flat, low = ~(lam[:, 0] > 0), ~(lo_factor * lam[:, 0] > 0)
+    top = np.where(low, 1.0, lam[:, 0])
     errors = []
     for _, zero in observations:
-        errs = flag_lanes([None] * lanes, zero, lambda i: ValueError("observation is zero"))
-        errors.append(flag_lanes(errs, flat, lambda i: ValueError(
-            "cannot select gamma for an all-zero spectrum")))
+        errs = flag_lanes(es.errors.tolist(), zero, lambda i: ValueError("observation is zero"))
+        errors.append(flag_lanes(errs, low, lambda i: ValueError(
+            "cannot select gamma for an all-zero spectrum" if flat[i] else
+            "quasi grid starts at zero: lo_factor * %g underflows" % lam[i, 0])))
     # the (lanes, n, n_grid) filter grid runs in chunks of lanes; each lane's
     # sums are its own, so a chunk's bits are the whole stack's
     gammas = [[] for _ in observations]

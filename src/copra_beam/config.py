@@ -84,9 +84,9 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_types(self)
         for name, kind in (("snr_db_grid", numbers.Real), ("snapshot_grid", numbers.Integral)):
-            if not all(isinstance(v, kind) and not isinstance(v, bool)
-                       for v in getattr(self, name)):
-                raise ValueError("%s entries must be %s" % (
+            grid = getattr(self, name)
+            if not grid or not all(isinstance(v, kind) and not isinstance(v, bool) for v in grid):
+                raise ValueError("%s must hold one or more %s" % (
                     name, "numbers" if kind is numbers.Real else "integers"))
         if not isinstance(self.quasi_grid, QuasiGridOptions):
             raise ValueError("quasi_grid must be an object of grid options")
@@ -108,16 +108,18 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0, got %d" % self.seed)
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1), got %g" % self.rho)
-        if not 0.0 <= self.soi_error_bound_deg < math.inf:
-            raise ValueError("soi_error_bound_deg must be finite and >= 0")
+        # the look direction is clipped to +-90 deg: no look error exceeds 180
+        if not 0.0 <= self.soi_error_bound_deg <= 180.0:
+            raise ValueError("soi_error_bound_deg must lie in [0, 180], got %g"
+                             % self.soi_error_bound_deg)
         if not 0.0 <= self.doa_guard_deg < 90.0:
             raise ValueError("doa_guard_deg must lie in [0, 90), got %g"
                              % self.doa_guard_deg)
         if not 0.0 <= self.diagonal_loading < math.inf:
             raise ValueError("diagonal_loading must be finite and >= 0")
-        unknown = set(self.methods) - set(METHODS)
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ValueError("unknown methods: %s" % sorted(unknown))
+            raise ValueError("unknown methods: %r" % unknown)
         if self.gamma_z_policy not in ("averaged", "per-snapshot-median"):
             raise ValueError("gamma_z_policy must be 'averaged' or 'per-snapshot-median'")
 

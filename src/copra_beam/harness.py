@@ -88,13 +88,16 @@ class SweepResult:
 def _sinr_lanes(w, c_in, a_true, soi_power):
     """Output SINR of (lanes, methods, n) weights, against each lane's truth.
 
-    c_in holds each lane's interference-plus-noise covariance. Every (lane,
-    method) row takes its own dot products, so it gets the bits of a single
-    weight vector's SINR; an all-zero row gives nan.
+    The lanes are points x block, point-major, and c_in holds the block's
+    interference-plus-noise covariances, which every point shares. Every
+    (lane, method) row takes its own dot products, so it gets the bits of a
+    single weight vector's SINR; an all-zero row gives nan.
     """
     wh = w.conj()[:, :, None, :]
     num = soi_power[:, None] * np.abs((wh @ a_true[:, None, :, None])[..., 0, 0]) ** 2
-    den = np.real((wh @ c_in[:, None] @ w[..., None])[..., 0, 0])
+    # (points, block, methods, n), sized from c_in, not -1: with no methods w is empty
+    w = w.reshape(len(w) // len(c_in), len(c_in), *w.shape[1:])
+    den = np.real(w.conj()[..., None, :] @ c_in[:, None] @ w[..., None]).reshape(num.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         return num / den
 
@@ -143,7 +146,9 @@ def _run_points(point_cfgs, indices, master_seed):
     interference-plus-noise covariances are built once, and the clairvoyant
     weights once per SNR. The distinct points run as one stack through one
     _run_block, and a repeated point gets its first occurrence's records: a
-    point's records are those run_trials gives for it alone.
+    point's records are those run_trials gives for it alone. Every kernel,
+    the eigensolver too, reports its failures per lane, so a lane that
+    fails fails in its own record only.
     """
     cfg = point_cfgs[0]
     sl, z = _draw_block(cfg, indices, master_seed, max(c.n_snapshots for c in point_cfgs))
@@ -158,17 +163,7 @@ def _run_points(point_cfgs, indices, master_seed):
         return (_stack([built[snr_db][0] for snr_db, _ in keys]),
                 [e for snr_db, _ in keys for e in built[snr_db][1]])
 
-    try:
-        records = _run_block(cfg, indices, points, z, c_in, optimal)
-    except (ValueError, np.linalg.LinAlgError):
-        if len(points) * len(indices) == 1:
-            raise
-        # a stacked eigh fails as a whole when one lane fails; redone lane by
-        # lane, each from its own point's scenario and draws, only that
-        # lane's methods fail
-        records = [rec for psl, n_s in points for i in range(len(indices))
-                   for rec in _run_block(cfg, indices[i:i + 1], [(psl[i:i + 1], n_s)],
-                                         z[i:i + 1], c_in[i:i + 1])]
+    records = _run_block(cfg, indices, points, z, c_in, optimal)
     lanes = len(indices)
     by_point = {key: records[j * lanes:(j + 1) * lanes] for j, key in enumerate(keys)}
     return [by_point[c.snr_db, c.n_snapshots] for c in point_cfgs]
@@ -180,8 +175,9 @@ def run_trials(cfg, indices, master_seed):
     The one-point case of a sweep: the trials run in blocks of BLOCK lanes,
     each drawn from its own substream. A trial's record does not depend on
     the other trials of its block, so it is the same for any index set,
-    order or block split. Per-method failures are recorded as missing
-    values; nothing raises, so long sweeps always complete.
+    order or block split. Per-method failures, the eigensolver's among
+    them, are recorded per lane as missing values; nothing raises, so long
+    sweeps always complete.
     """
     indices = [int(i) for i in indices]
     return [rec for start in range(0, len(indices), BLOCK)
@@ -193,21 +189,16 @@ def run_trial(cfg, trial_index, master_seed):
     return run_trials(cfg, [trial_index], master_seed)[0]
 
 
-def _observe(cfg, sl, z, n_s, lone):
+def _observe(cfg, sl, z, n_s):
     """A point's stage that depends on its snapshot count: synthesizes its
     snapshots from the draws z and returns what the methods read of them,
     (cov, es, mode powers, zero flags, per-snapshot weights), None where no
     method reads it; the snapshots are dropped before the next point's are
-    made. A lone lane whose eigensystem fails returns its error as es.
+    made. A lane whose eigensystem fails carries its error in es.errors.
     """
     y = arraysim.synthesize_block(sl, z, n_s)
     cov = arraysim.sample_covariance(arraysim.SnapshotSet(y))
-    try:
-        es = hermitian_evd(cov)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        if not lone:
-            raise
-        return cov, exc, None, None, None
+    es = hermitian_evd(cov)
     y_powers, y_zero = (beamformers.mode_powers(es, y) if "quasi-rls" in cfg.methods
                         else (None, None))
     weights = (secular.per_snapshot_weights(es, y) if "copra" in cfg.methods
@@ -224,26 +215,25 @@ def _stack(parts):
         return [x for part in parts for x in part]
     if isinstance(first, HermitianEigensystem):
         return HermitianEigensystem(*(np.concatenate([getattr(e, k) for e in parts])
-                                      for k in ("u", "eigenvalues")))
+                                      for k in HermitianEigensystem.__slots__))
     return (arraysim.Scenario.concat(parts) if isinstance(first, arraysim.Scenario)
             else np.concatenate(parts))
 
 
-def _run_block(cfg, indices, points, z, c_in, optimal=None):
+def _run_block(cfg, indices, points, z, c_in, optimal):
     """The records of a block of drawn trials at some points, point-major.
 
     points holds (Scenario of the block at the point's SOI power, n_s) pairs,
-    z the lanes' draws and c_in their interference-plus-noise covariances.
-    Each point's snapshot stage runs on its own (_observe), every later stage
-    once over the stack of every point's lanes. optimal, when given, returns
-    the stack's clairvoyant (weights, errors).
+    z the block's draws and c_in its interference-plus-noise covariances,
+    shared by every point. Each point's snapshot stage runs on its own
+    (_observe), every later stage once over the stack of every point's
+    lanes. optimal returns the stack's clairvoyant (weights, errors).
     """
     lanes = len(indices) * len(points)
     # each point's own parts are dropped once stacked
     cov, es, y_powers, y_zero, snapshot_weights = (_stack(parts) for parts in zip(
-        *[_observe(cfg, psl, z, n_s, lanes == 1) for psl, n_s in points]))
+        *[_observe(cfg, psl, z, n_s) for psl, n_s in points]))
     sl = _stack([psl for psl, _ in points])
-    c_in = _stack([c_in] * len(points))
     indices = list(indices) * len(points)
     a = sl.a_presumed
 
@@ -253,57 +243,47 @@ def _run_block(cfg, indices, points, z, c_in, optimal=None):
     mvdr_loaded = np.zeros(lanes, dtype=bool)
 
     for method in cfg.methods:
-        try:
-            if isinstance(es, Exception) and method in ("sample-mvdr", "copra", "quasi-rls"):
-                # a lone lane whose sample eigensystem failed
-                raise es
-            if method == "sample-mvdr":
-                w, errors = beamformers.mvdr_lanes(es, a)
-                mvdr_loaded = np.array([isinstance(e, SingularCovarianceError)
-                                        for e in errors])
-                if mvdr_loaded.any():
-                    # minimal loading keeps the baseline plottable at small n_s
-                    idx = np.flatnonzero(mvdr_loaded)
-                    loading = 1e-8 * es.eigenvalues[idx].sum(axis=-1) / cfg.n_elements
-                    w[idx], loaded_errors = beamformers.loaded_mvdr_lanes(
-                        cov[idx], a[idx], loading)
-                    for i, e in zip(idx, loaded_errors):
-                        errors[i] = e
-            elif method == "diagonal-loading":
-                loading = cfg.diagonal_loading * sl.noise_power
-                w, errors = beamformers.loaded_mvdr_lanes(cov, a, loading)
-            elif method == "copra":
-                w = np.zeros_like(a)
-                n1, groups = secular.split_lanes(es, cfg.rho)
-                errors = flag_lanes([None] * lanes, n1 == 0, lambda i: ValueError(
-                    "cannot split an all-zero spectrum"))
-                for idx, split in groups:
-                    reports = secular.copra_gammas_lanes(
-                        split, a[idx], snapshot_weights and [snapshot_weights[i] for i in idx],
-                        snapshot_policy=cfg.gamma_z_policy)
-                    w[idx], split_errors = beamformers.copra_lanes(
-                        split.es, np.array([b.gamma for b, _ in reports]),
-                        np.array([z.gamma for _, z in reports]), a[idx])
-                    for i, (b, z), e in zip(idx, reports, split_errors):
-                        copra[i] = dict(n1=split.n1, n2=split.n2, gamma_b=b.gamma,
-                                        gamma_z=z.gamma, fallback_b=b.fallback_used,
-                                        fallback_z=z.fallback_used)
-                        errors[i] = e
-            elif method == "quasi-rls":
-                q = cfg.quasi_grid
-                (gb, errors_b), (gz, errors_z) = beamformers.quasi_lanes(
-                    es, (beamformers.mode_powers(es, a), (y_powers, y_zero)),
-                    q.points, q.lo_factor, q.hi_factor)
-                w, errors = beamformers.copra_lanes(es, gb, gz, a)
-                errors = [eb or ez or e for eb, ez, e in zip(errors_b, errors_z, errors)]
-            elif method == "optimal":
-                w, errors = optimal() if optimal else beamformers.optimal_lanes(sl, c_in)
-            else:
-                raise ValueError("unknown method %r" % method)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            if lanes > 1:
-                raise
-            w, errors = np.zeros_like(a), [exc]
+        if method == "sample-mvdr":
+            w, errors = beamformers.mvdr_lanes(es, a)
+            mvdr_loaded = np.array([isinstance(e, SingularCovarianceError)
+                                    for e in errors])
+            if mvdr_loaded.any():
+                # minimal loading keeps the baseline plottable at small n_s
+                idx = np.flatnonzero(mvdr_loaded)
+                loading = 1e-8 * es.eigenvalues[idx].sum(axis=-1) / cfg.n_elements
+                w[idx], loaded_errors = beamformers.loaded_mvdr_lanes(
+                    cov[idx], a[idx], loading)
+                for i, e in zip(idx, loaded_errors):
+                    errors[i] = e
+        elif method == "diagonal-loading":
+            loading = cfg.diagonal_loading * sl.noise_power
+            w, errors = beamformers.loaded_mvdr_lanes(cov, a, loading)
+        elif method == "copra":
+            w = np.zeros_like(a)
+            n1, groups = secular.split_lanes(es, cfg.rho)
+            errors = flag_lanes(es.errors.tolist(), n1 == 0, lambda i: ValueError(
+                "cannot split an all-zero spectrum"))
+            for idx, split in groups:
+                reports = secular.copra_gammas_lanes(
+                    split, a[idx], snapshot_weights and [snapshot_weights[i] for i in idx],
+                    snapshot_policy=cfg.gamma_z_policy)
+                w[idx], split_errors = beamformers.copra_lanes(
+                    split.es, np.array([b.gamma for b, _ in reports]),
+                    np.array([z.gamma for _, z in reports]), a[idx])
+                for i, (b, z), e in zip(idx, reports, split_errors):
+                    copra[i] = dict(n1=split.n1, n2=split.n2, gamma_b=b.gamma,
+                                    gamma_z=z.gamma, fallback_b=b.fallback_used,
+                                    fallback_z=z.fallback_used)
+                    errors[i] = e
+        elif method == "quasi-rls":
+            q = cfg.quasi_grid
+            (gb, errors_b), (gz, errors_z) = beamformers.quasi_lanes(
+                es, (beamformers.mode_powers(es, a), (y_powers, y_zero)),
+                q.points, q.lo_factor, q.hi_factor)
+            w, errors = beamformers.copra_lanes(es, gb, gz, a)
+            errors = [eb or ez or e for eb, ez, e in zip(errors_b, errors_z, errors)]
+        else:  # "optimal"; the config refuses any other method
+            w, errors = optimal()
         weights.append(w)
         method_errors.append(errors)
 
@@ -382,8 +362,6 @@ def run_sweep(cfg, sweep_kind, master_seed=None):
     if sweep_kind not in grids:
         raise ValueError("sweep kind must be 'snr' or 'snapshots'")
     name, kind, points = grids[sweep_kind]
-    if not points:
-        raise ValueError("sweep grid is empty")
     if master_seed is None:
         master_seed = cfg.seed
 

@@ -24,23 +24,28 @@ class HermitianEigensystem:
     Attributes:
         u: (..., n, n) complex ndarray whose columns are orthonormal eigenvectors.
         eigenvalues: (..., n) real ndarray, sorted descending, clamped at zero.
+        errors: (...) object ndarray, per lane its failure or None (default);
+            a failed lane holds the zero matrix's eigensystem (u = I).
 
     Indexing selects lanes: ``es[idx]`` is the eigensystem of the stack's
     lanes idx, and ``es[None]`` the one-lane stack of a single system.
     """
 
-    __slots__ = ("u", "eigenvalues")
+    __slots__ = ("u", "eigenvalues", "errors")
 
-    def __init__(self, u, eigenvalues):
+    def __init__(self, u, eigenvalues, errors=None):
         self.u = u
         self.eigenvalues = eigenvalues
+        self.errors = np.empty(eigenvalues.shape[:-1], object) if errors is None else errors
 
     @property
     def n(self):
         return self.eigenvalues.shape[-1]
 
     def __getitem__(self, lanes):
-        return HermitianEigensystem(self.u[lanes], self.eigenvalues[lanes])
+        # the ellipsis keeps a single lane's error a 0-d array
+        return HermitianEigensystem(self.u[lanes], self.eigenvalues[lanes],
+                                    self.errors[lanes, ...])
 
 
 def hermitian_evd(a):
@@ -50,27 +55,40 @@ def hermitian_evd(a):
     (lanes, n, n) stack of them; the HermitianEigensystem has the same
     leading shape. Negative eigenvalues arising from round-off
     (rank-deficient sample covariances) are clamped to exactly zero. Raises
-    ValueError for a non-square or non-Hermitian input and LinAlgError when
-    the eigensolver does not converge (on a stack, for any lane).
+    ValueError for a non-square input. A stack flags in errors each lane that
+    is not Hermitian (ValueError) or whose eigh does not converge
+    (LinAlgError, the stack retried matrix by matrix); a matrix raises them.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("input must be a square matrix, got shape %s" % (a.shape,))
+    if a.ndim == 2:
+        es = hermitian_evd(a[None])
+        return one_lane(es, es.errors)
     norm = np.linalg.norm(a, axis=(-2, -1))
     defect = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
+    errors = np.empty(len(a), dtype=object)  # None on every lane
     # a zero matrix has no defect either
-    bad = defect > _HERMITIAN_TOL * norm
-    if bad.any():
-        worst = np.max(defect[bad] / norm[bad])
-        raise ValueError(
-            "matrix is not Hermitian: asymmetry %.3e exceeds %.1e relative"
-            % (worst, _HERMITIAN_TOL)
-        )
-    w, v = np.linalg.eigh(a)
+    for i in (defect > _HERMITIAN_TOL * norm).nonzero()[0]:
+        errors[i] = ValueError("matrix is not Hermitian: asymmetry %.3e exceeds %.1e relative"
+                               % (defect[i] / norm[i], _HERMITIAN_TOL))
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        # a stacked eigh fails as a whole when one lane fails
+        w, v = np.zeros(a.shape[:-1]), np.empty_like(a)
+        for i, m in enumerate(a):
+            try:
+                w[i], v[i] = np.linalg.eigh(m)
+            except np.linalg.LinAlgError as exc:
+                errors[i] = errors[i] or exc
     # eigh returns ascending order
-    w = np.maximum(w[..., ::-1], 0.0)
-    v = v[..., ::-1]
-    return HermitianEigensystem(np.ascontiguousarray(v), np.ascontiguousarray(w))
+    w = np.ascontiguousarray(np.maximum(w[..., ::-1], 0.0))
+    v = np.ascontiguousarray(v[..., ::-1])
+    if any(errors.tolist()):
+        failed = np.not_equal(errors, None)
+        w[failed], v[failed] = 0.0, np.eye(a.shape[-1])
+    return HermitianEigensystem(v, w, errors)
 
 
 def lanes_matmul(x, y):

@@ -375,9 +375,10 @@ def copra_gammas_lanes(split, a_presumed, snapshot_weights=None, snapshot_policy
 def copra_gammas(split, a_presumed, snapshots, snapshot_policy="averaged"):
     """(report_b, report_z) of a single system; see copra_gammas_lanes."""
     es = split.es[None]
+    weights = (per_snapshot_weights(es, snapshots.snapshots[None])
+               if snapshot_policy == "per-snapshot-median" else None)
     return copra_gammas_lanes(_split(es, split.n1, split.rho),
-                              np.asarray(a_presumed, dtype=complex)[None],
-                              per_snapshot_weights(es, snapshots.snapshots[None]),
+                              np.asarray(a_presumed, dtype=complex)[None], weights,
                               snapshot_policy)[0]
 
 

@@ -47,12 +47,10 @@ def render_line_chart(series, x_label, y_label, title=""):
     """Render named (xs, ys) series into an SVG document string.
 
     series: list of (name, xs, ys); a point with a NaN or infinite coordinate
-    is left out, and a chart without points draws its frame, labels and
-    legend only. Single points are drawn as markers. Y-range covers all
-    series with a 5% margin.
+    is left out, and a chart without points (or series) draws its frame,
+    labels and legend only. Single points are drawn as markers. Y-range
+    covers all series with a 5% margin.
     """
-    if not series:
-        raise ValueError("no series to plot")
     series = [(name, [(x, y) for x, y in zip(xs, ys)
                       if math.isfinite(x) and math.isfinite(y)])
               for name, xs, ys in series]

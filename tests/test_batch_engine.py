@@ -126,8 +126,8 @@ def test_zeroed_lane_fails_alone(monkeypatch):
 
 
 def test_eigensolver_failure_fails_only_its_lane(monkeypatch):
-    # the stacked eigh raises for the whole stack when one lane's true
-    # covariance does not converge; the block is redone lane by lane
+    # one lane's true covariance does not converge, which fails the stacked
+    # eigh as a whole; the eigensolver retries it matrix by matrix
     sl, _ = harness._draw_block(NEIGHBOURS, [BAD], SEED, NEIGHBOURS.n_snapshots)
     target = arraysim.true_covariance_lanes(sl, arraysim.interference_noise_lanes(sl))[0]
     real = np.linalg.eigh
@@ -203,14 +203,30 @@ STACKED = dataclasses.replace(NEIGHBOURS, trials=len(INDICES), snr_db_grid=(0.0,
 POINT = 1
 
 
+def _synthesized(monkeypatch):
+    """A list that grows by one at every arraysim.synthesize_block call."""
+    real, calls = arraysim.synthesize_block, []
+
+    def spy(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(arraysim, "synthesize_block", spy)
+    return calls
+
+
 def _stacked_run(monkeypatch, failed):
     """Run STACKED under a patch that fails trial BAD at point POINT, then
     hold it to the unpatched per-point runs: only that trial at that point
     may change, only the methods failed fail, and the sweep's rows equal
-    the rows built point by point under the same patch."""
+    the rows built point by point under the same patch. The block, one
+    here, synthesizes each point's snapshots once: no lane is run again."""
     point_cfgs = [dataclasses.replace(STACKED, snr_db=v) for v in STACKED.snr_db_grid]
+    synthesized = _synthesized(monkeypatch)
     records = harness._run_points(point_cfgs, INDICES, SEED)
+    assert len(synthesized) == len(point_cfgs)
     rows = harness.run_sweep(STACKED, "snr", SEED).rows
+    assert len(synthesized) == 2 * len(point_cfgs)
     patched_rows = _per_point_rows(STACKED, "snr")
     monkeypatch.undo()
     bad = records[POINT][BAD]
@@ -232,7 +248,7 @@ def _stacked_run(monkeypatch, failed):
 
 def test_eigensolver_failure_in_a_stacked_point_fails_only_its_lane(monkeypatch):
     # the true covariance of one trial at one SNR does not converge: the
-    # whole stack is redone lane by lane
+    # eigensolver flags that lane alone
     cfg = dataclasses.replace(STACKED, snr_db=STACKED.snr_db_grid[POINT])
     sl, _ = harness._draw_block(cfg, [BAD], SEED, cfg.n_snapshots)
     target = arraysim.true_covariance_lanes(sl, arraysim.interference_noise_lanes(sl))[0]
@@ -276,12 +292,16 @@ STACKED_SNAPSHOTS = dataclasses.replace(STACKED, snapshot_grid=(10, 4, 24))
 
 def _stacked_snapshot_run(monkeypatch, failed):
     """_stacked_run for STACKED_SNAPSHOTS, a snapshot sweep: only trial BAD
-    at point POINT may change, only the methods failed fail, and the sweep's
-    rows equal the rows built point by point under the same patch."""
+    at point POINT may change, only the methods failed fail, the sweep's
+    rows equal the rows built point by point under the same patch, and each
+    point's snapshots are synthesized once."""
     point_cfgs = [dataclasses.replace(STACKED_SNAPSHOTS, n_snapshots=v)
                   for v in STACKED_SNAPSHOTS.snapshot_grid]
+    synthesized = _synthesized(monkeypatch)
     records = harness._run_points(point_cfgs, INDICES, SEED)
+    assert len(synthesized) == len(point_cfgs)
     rows = harness.run_sweep(STACKED_SNAPSHOTS, "snapshots", SEED).rows
+    assert len(synthesized) == 2 * len(point_cfgs)
     patched_rows = _per_point_rows(STACKED_SNAPSHOTS, "snapshots")
     monkeypatch.undo()
     bad = records[POINT][BAD]
@@ -313,7 +333,7 @@ def _bad_sample_covariance():
 def test_sample_eigensolver_failure_in_a_stacked_snapshot_point_fails_only_its_lane(
         monkeypatch):
     # the sample covariance of one trial at one snapshot count does not
-    # converge: the stack is redone lane by lane, and that lane fails the
+    # converge: the eigensolver flags that lane alone, and it fails the
     # methods that read the sample eigensystem
     target = _bad_sample_covariance()
     real = np.linalg.eigh

@@ -1,13 +1,18 @@
 import csv
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from copra_beam import arraysim, harness
 from copra_beam.cli import CSV_HEADER, _sweep_svg, main
-from copra_beam.config import LEVEL_DB_BOUND, ExperimentConfig, config_from_dict, load_config
+from copra_beam.config import (LEVEL_DB_BOUND, METHODS, ExperimentConfig, config_from_dict,
+                               load_config)
 
 
 FAST = {
@@ -83,6 +88,8 @@ class TestConfig:
         ('{"spacing_wavelengths": Infinity}', "spacing_wavelengths"),
         ('{"snapshot_grid": [10, 0]}', "snapshot_grid"),
         ('{"soi_error_bound_deg": Infinity}', "soi_error_bound_deg"),
+        ('{"soi_error_bound_deg": 180.5}', "soi_error_bound_deg"),
+        ('{"soi_error_bound_deg": 1e308}', "soi_error_bound_deg"),
         ('{"quasi_grid": {"points": 1}}', "quasi_grid"),
         ('{"quasi_grid": {"lo_factor": 0.0}}', "quasi_grid"),
         ('{"quasi_grid": {"lo_factor": 20.0}}', "quasi_grid"),
@@ -140,6 +147,84 @@ class TestConfig:
         assert cfg.quasi_grid.points == 50
         with pytest.raises(ValueError, match="quasi_grid"):
             config_from_dict({"quasi_grid": {"steps": 50}})
+
+
+# a field of a fuzzed config takes a valid value small enough to run at
+# once, or, for at most two fields, a hostile one: a wrong type, a sign, a
+# non-finite or huge number or an unknown key. No hostile count is a valid
+# integer, so none starts a large run or many workers, and no guard nears
+# 90 deg, where the interferer redraws grow without limit.
+NOT_NUMBERS = [True, None, "1", [1], {}]
+HOSTILE_INT = st.sampled_from([0, -1, 1.5, 1e308, -1e308, math.nan, math.inf, -math.inf]
+                              + NOT_NUMBERS)
+HOSTILE_FLOAT = st.sampled_from([0, -1, -0.0, 5e-324, 1e308, -1e308, 10**30, math.nan,
+                                 math.inf, -math.inf] + NOT_NUMBERS)
+VALID_FIELDS = dict(
+    n_elements=st.integers(2, 6),
+    spacing_wavelengths=st.sampled_from([0.5, 0.05, 3.0]),
+    n_interferers=st.integers(0, 3),
+    inr_db=st.sampled_from([-LEVEL_DB_BOUND, 0.0, 30.0, LEVEL_DB_BOUND]),
+    snr_db=st.sampled_from([-LEVEL_DB_BOUND, 0.0, 20.0, LEVEL_DB_BOUND]),
+    soi_error_bound_deg=st.sampled_from([0.0, 5.0, 90.0, 180.0]),
+    doa_guard_deg=st.floats(0.0, 89.0),
+    n_snapshots=st.integers(1, 12),
+    snr_db_grid=st.lists(st.sampled_from([-LEVEL_DB_BOUND, -10.0, 0.0, 30.0, LEVEL_DB_BOUND]),
+                         min_size=1, max_size=3),
+    snapshot_grid=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    rho=st.sampled_from([5e-324, 0.1, 0.999]),
+    # empty, partial and repeated method lists
+    methods=st.lists(st.sampled_from(METHODS), max_size=5),
+    seed=st.sampled_from([0, 7, 2**64, 10**30]),
+    diagonal_loading=st.sampled_from([0.0, 10.0, 1e308]),
+    quasi_grid=st.fixed_dictionaries({}, optional=dict(
+        points=st.integers(2, 20), lo_factor=st.sampled_from([1e-300, 1e-8]),
+        hi_factor=st.sampled_from([10.0, 1e300]))),
+    gamma_z_policy=st.sampled_from(["averaged", "per-snapshot-median"]),
+)
+INT_FIELDS = {"n_elements", "n_interferers", "trials", "n_snapshots", "seed", "workers"}
+HOSTILE_FIELDS = dict(
+    {name: HOSTILE_INT if name in INT_FIELDS else HOSTILE_FLOAT
+     for name in [*VALID_FIELDS, "trials", "workers"]},
+    snr_db_grid=st.one_of(HOSTILE_FLOAT, st.lists(HOSTILE_FLOAT, max_size=3)),
+    snapshot_grid=st.one_of(HOSTILE_INT, st.lists(HOSTILE_INT, max_size=3)),
+    methods=st.one_of(HOSTILE_FLOAT, st.lists(st.one_of(HOSTILE_FLOAT, st.just("magic")),
+                                              min_size=1, max_size=3)),
+    quasi_grid=st.one_of(HOSTILE_FLOAT, st.fixed_dictionaries({}, optional=dict(
+        points=HOSTILE_INT, lo_factor=HOSTILE_FLOAT, hi_factor=HOSTILE_FLOAT,
+        steps=st.just(50)))),
+    gamma_z_policy=st.one_of(HOSTILE_FLOAT, st.just("latest")),
+    n_elments=st.just(10),
+)
+hostile_configs = st.tuples(
+    # one trial on one worker, not the defaults' 1000
+    st.fixed_dictionaries({"trials": st.just(1), "workers": st.just(1)}, optional=VALID_FIELDS),
+    st.lists(st.sampled_from(sorted(HOSTILE_FIELDS)), max_size=2, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({k: HOSTILE_FIELDS[k] for k in names})),
+).map(lambda parts: {**parts[0], **parts[1]})
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@example({"trials": 1, "soi_error_bound_deg": 1e308}, "snr")
+@example({"trials": 1, "snr_db_grid": []}, "snr")
+@example({"trials": 1, "snapshot_grid": []}, "snapshots")
+@example({"trials": 1, "methods": []}, "snr")
+@example({"trials": 1, "methods": ["copra", ["optimal"]]}, "snr")
+# the largest sample eigenvalue of trial 0 is 0.35: the quasi grid's lower
+# end, 5e-324 times it, rounds to zero
+@example({"trials": 1, "n_elements": 2, "n_snapshots": 1, "n_interferers": 0,
+          "snr_db": -100.0, "seed": 11, "quasi_grid": {"lo_factor": 5e-324}}, "snr")
+@given(hostile_configs, st.sampled_from(["snr", "snapshots"]))
+def test_every_config_runs_or_is_refused_at_load(doc, kind):
+    try:
+        config_from_dict(doc)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["trial", "--config", path, "--json"]) == 0
+        assert main(["sweep", "--kind", kind, "--config", path, "--out", tmp]) == 0
 
 
 class TestSweepCommand:

@@ -139,3 +139,16 @@ def test_chunked_quasi_moves_no_bits():
             assert repr(errors[i]) == repr(errors_1[0]), i
     assert "all-zero spectrum" in str(stacked[1][1][flat])
     assert "observation is zero" in str(stacked[0][1][zero])
+
+
+def test_quasi_grid_starting_at_zero_fails_only_its_lane():
+    # 5e-324 times lane 1's top eigenvalue 0.4 rounds to zero, where no
+    # geometric grid can start; lane 0's grid starts at 5e-324 * 2
+    es = HermitianEigensystem(np.stack([np.eye(2, dtype=complex)] * 2),
+                              np.array([[2.0, 1.0], [0.4, 0.1]]))
+    r = np.ones((2, 2), dtype=complex)
+    (gamma, errors), = quasi_lanes(es, [mode_powers(es, r)], lo_factor=5e-324)
+    assert errors[0] is None and "underflows" in str(errors[1])
+    lane = es[0:1]
+    (gamma_1, _), = quasi_lanes(lane, [mode_powers(lane, r[:1])], lo_factor=5e-324)
+    assert float(gamma[0]).hex() == float(gamma_1[0]).hex()

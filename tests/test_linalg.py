@@ -134,3 +134,37 @@ def test_apply_filtered_nonfinite_map_rejected():
     with np.errstate(divide="ignore"):
         with pytest.raises(ValueError):
             apply_filtered(es, lambda lam: 1.0 / lam, np.ones(2))
+
+
+def test_stack_flags_only_its_failed_lanes(monkeypatch):
+    # lane 0 is not Hermitian and lane 2's eigh does not converge, which
+    # fails the stacked eigh as a whole: each failed lane carries its own
+    # error and the zero matrix's eigensystem, and lane 1 keeps its bits
+    rng = np.random.default_rng(23)
+    stack = np.stack([random_psd(rng, 4) for _ in range(3)])
+    stack[0, 0, 1] += 1.0
+    target = stack[2].copy()
+    real = np.linalg.eigh
+
+    def eigh(a):
+        if any(np.array_equal(m, target) for m in a.reshape(-1, *target.shape)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    es = hermitian_evd(stack)
+    assert isinstance(es.errors[0], ValueError) and "not Hermitian" in str(es.errors[0])
+    assert isinstance(es.errors[2], np.linalg.LinAlgError)
+    assert es.errors[1] is None
+    for lane in (0, 2):
+        assert not es.eigenvalues[lane].any()
+        assert np.array_equal(es.u[lane], np.eye(4))
+    alone = hermitian_evd(stack[1])
+    assert alone.errors[()] is None
+    assert es.eigenvalues[1].tobytes() == alone.eigenvalues.tobytes()
+    assert es.u[1].tobytes() == alone.u.tobytes()
+    # a single matrix still raises its failure
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_evd(stack[0])
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        hermitian_evd(stack[2])
