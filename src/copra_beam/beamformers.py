@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arraysim import interference_noise_lanes, true_covariance_lanes
-from .linalg import flag_lanes, hermitian_evd, lane_chunks, lanes_matmul, one_lane
+from .linalg import (HermitianEigensystem, flag_lanes, hermitian_evd, lane_chunks,
+                     lanes_matmul, one_lane)
 
 __all__ = [
     "BeamformerWeights",
@@ -73,9 +74,9 @@ def mvdr_lanes(es, a):
     return w, errors
 
 
-def loaded_mvdr_lanes(c, a, loading):
-    """MVDR on the loaded covariances C + loading * I of a (lanes, n, n) stack."""
-    return mvdr_lanes(hermitian_evd(c + loading[:, None, None] * np.eye(c.shape[-1])), a)
+def loaded_mvdr_lanes(es, a, loading):
+    """MVDR on C + loading * I from C's eigensystem es: eigenvalues lambda + loading."""
+    return mvdr_lanes(HermitianEigensystem(es.u, es.eigenvalues + loading[:, None], es.errors), a)
 
 
 def copra_lanes(es, gamma_b, gamma_z, a):
@@ -131,7 +132,8 @@ def quasi_lanes(es, observations, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     matrix r takes the Frobenius norm. The squared norm is the closed form
     p @ diff(filt)^2, so no estimate is formed, and the grid and
     diff(filt)^2 come from the spectrum alone, shared by every observation.
-    Only the powers depend on r's width, so lanes may differ in n_obs.
+    Only p depends on r's width (n_s * lambda for the n_s snapshots whose
+    sample covariance es decomposes), so lanes may differ in n_obs.
     """
     lam = es.eigenvalues
     lanes, n = lam.shape
@@ -146,23 +148,24 @@ def quasi_lanes(es, observations, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
         errors.append(flag_lanes(errs, low, lambda i: ValueError(
             "cannot select gamma for an all-zero spectrum" if flat[i] else
             "quasi grid starts at zero: lo_factor * %g underflows" % lam[i, 0])))
-    # the (lanes, n, n_grid) filter grid runs in chunks of lanes; each lane's
-    # sums are its own, so a chunk's bits are the whole stack's
-    gammas = [[] for _ in observations]
+    # one grid for the stack; the (lanes, n, n_grid) filter grid runs in
+    # chunks of lanes. Each lane's grid and sums are its own, so a chunk's
+    # bits are the whole stack's
+    grid = np.ascontiguousarray(
+        np.geomspace(lo_factor * top, hi_factor * top, n_grid, axis=-1))
+    picks = [[] for _ in observations]
     for c in lane_chunks(lanes):
-        grid = np.ascontiguousarray(
-            np.geomspace(lo_factor * top[c], hi_factor * top[c], n_grid, axis=-1))
         sub = lam[c]
         # squared in place, and dropped before the next chunk's is made:
         # keeps the selector's peak memory low
-        dfilt_sq = np.diff(np.sqrt(sub)[:, :, None] / (sub[:, :, None] + grid[:, None, :]),
+        dfilt_sq = np.diff(np.sqrt(sub)[:, :, None] / (sub[:, :, None] + grid[c, None, :]),
                            axis=-1)
         dfilt_sq **= 2
-        for (p, _), gamma in zip(observations, gammas):
-            diffs = np.sqrt(lanes_matmul(p[c], dfilt_sq))
-            gamma.append(grid[np.arange(len(grid)), np.argmin(diffs, axis=-1)])
+        for (p, _), pick in zip(observations, picks):
+            pick.append(np.argmin(np.sqrt(lanes_matmul(p[c], dfilt_sq)), axis=-1))
         del dfilt_sq
-    return [(np.concatenate(gamma), errs) for gamma, errs in zip(gammas, errors)]
+    rows = np.arange(lanes)
+    return [(grid[rows, np.concatenate(pick)], errs) for pick, errs in zip(picks, errors)]
 
 
 def mvdr_weights(c, a):
@@ -174,10 +177,9 @@ def mvdr_weights(c, a):
 
 
 def diagonal_loading_weights(c, a, loading):
-    """MVDR on the loaded covariance C + loading * I."""
-    c = np.asarray(c, dtype=complex)
+    """MVDR on C + loading * I, from C's eigensystem; see loaded_mvdr_lanes."""
     a = np.asarray(a, dtype=complex)
-    w = one_lane(*loaded_mvdr_lanes(c[None], a[None], np.array([loading], dtype=float)))
+    w = one_lane(*loaded_mvdr_lanes(hermitian_evd(c)[None], a[None], np.array([loading], float)))
     return BeamformerWeights(w=w, method="diagonal-loading")
 
 

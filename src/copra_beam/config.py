@@ -7,6 +7,8 @@ import numbers
 from dataclasses import dataclass, field
 
 from .arraysim import ArrayGeometry
+from .linalg import BLOCK, LANE_CHUNK
+from .secular import SCAN_POINTS
 
 __all__ = ["ExperimentConfig", "QuasiGridOptions", "load_config", "config_from_dict"]
 
@@ -34,6 +36,32 @@ def _check_types(obj, prefix=""):
 # and diagonal-loading methods fail on every trial, and far beyond it the
 # covariances overflow or the SINR underflows to 0
 LEVEL_DB_BOUND = 100.0
+
+# the most float64 values one array of a run may hold (1 GiB): a config whose
+# largest array would exceed it is refused at load, not by the allocator
+ARRAY_BUDGET = 2**27
+
+
+def _largest_arrays(cfg):
+    """(float64 values, array, the fields that size it) of the largest arrays
+    a trial or a sweep of cfg allocates; a complex value counts twice."""
+    n, points = cfg.n_elements, max(len(cfg.snr_db_grid), len(cfg.snapshot_grid))
+    grid = "snr_db_grid, snapshot_grid"
+    # the per-snapshot-median policy solves each snapshot as a lane of its own
+    solves = points + (max(len(cfg.snr_db_grid) * cfg.n_snapshots, sum(cfg.snapshot_grid))
+                       if cfg.gamma_z_policy == "per-snapshot-median" else points)
+    return [
+        (BLOCK * 2 * (1 + cfg.n_interferers + n) * max(cfg.n_snapshots, *cfg.snapshot_grid),
+         "one block's Gaussian draws", "n_elements, n_interferers, n_snapshots, snapshot_grid"),
+        (BLOCK * points * 2 * n * n, "one block's covariances", "n_elements, " + grid),
+        (LANE_CHUNK * n * cfg.quasi_grid.points, "one quasi chunk's filter grid",
+         "n_elements, quasi_grid.points"),
+        (BLOCK * max(points * cfg.quasi_grid.points, solves * SCAN_POINTS),
+         "one block's regularization grids",
+         "quasi_grid.points, n_snapshots, gamma_z_policy, " + grid),
+        (cfg.trials * points * len(cfg.methods), "the sweep's SINR columns",
+         "trials, methods, " + grid),
+    ]
 
 
 @dataclass(frozen=True)
@@ -122,6 +150,10 @@ class ExperimentConfig:
             raise ValueError("unknown methods: %r" % unknown)
         if self.gamma_z_policy not in ("averaged", "per-snapshot-median"):
             raise ValueError("gamma_z_policy must be 'averaged' or 'per-snapshot-median'")
+        size, array, fields = max(_largest_arrays(self))
+        if size > ARRAY_BUDGET:
+            raise ValueError("config too large: %s would hold %.3g float64 values, over "
+                             "the budget of 2**27; reduce %s" % (array, size, fields))
 
     def to_dict(self):
         d = dataclasses.asdict(self)

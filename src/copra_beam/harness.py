@@ -9,13 +9,13 @@ distinct point, of either sweep kind. Per trial run its generator and
 draws, once per sweep; per block the steering vectors and the
 interference-plus-noise covariances, and per block and SNR the clairvoyant
 weights. Per point run the stages that depend on its snapshot count: the
-snapshots, summed at its SOI power from a prefix of the draws, their sample
-covariances and eigensystems and the quasi selector's mode powers; then the
-snapshots are dropped. The split, both secular solves, the quasi selector,
-every method's weights and the SINR run once per block over one stack of
-every point's lanes. run_trials is the one-point case. All methods see the
-same scenario and noise realizations, within a point and across points
-(paired comparison).
+snapshots, summed at its SOI power from a prefix of the draws, and their
+sample covariances; then the snapshots are dropped. One eigendecomposition
+of the stack of every point's sample covariances serves every method, the
+split, both secular solves, the quasi selector, every method's weights and
+the SINR then run once per block over that stack. run_trials is the
+one-point case. All methods see the same scenario and noise realizations,
+within a point and across points (paired comparison).
 """
 
 import dataclasses
@@ -28,7 +28,7 @@ import numpy as np
 from . import arraysim, beamformers, secular
 from .beamformers import SingularCovarianceError
 from .config import ExperimentConfig
-from .linalg import HermitianEigensystem, flag_lanes, hermitian_evd
+from .linalg import BLOCK, flag_lanes, hermitian_evd
 
 __all__ = ["TrialRecord", "PointStats", "SweepResult", "output_sinr",
            "run_trials", "run_trial", "run_sweep"]
@@ -116,13 +116,6 @@ def output_sinr(w, scenario):
     return float(_sinr_lanes(wv[None, None], c_in, sl.a_true, sl.soi_power)[0, 0])
 
 
-# trials per block: enough to spread numpy's per-call cost; a sweep's stack
-# holds points x BLOCK lanes, whose snapshots exist one point at a time and
-# whose grid-shaped work runs in chunks of linalg.LANE_CHUNK lanes, so the
-# peak memory stays flat
-BLOCK = 10
-
-
 def _trial_rng(master_seed, trial_index):
     # SeedSequence mixes (seed, index) into a stable, order-independent stream
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(trial_index)]))
@@ -191,19 +184,14 @@ def run_trial(cfg, trial_index, master_seed):
 
 def _observe(cfg, sl, z, n_s):
     """A point's stage that depends on its snapshot count: synthesizes its
-    snapshots from the draws z and returns what the methods read of them,
-    (cov, es, mode powers, zero flags, per-snapshot weights), None where no
-    method reads it; the snapshots are dropped before the next point's are
-    made. A lane whose eigensystem fails carries its error in es.errors.
-    """
+    snapshots from the draws z and returns their sample covariances, whether
+    each lane's are zero and, for the per-snapshot-median policy only, the
+    snapshots themselves as a list of lanes; otherwise None, and they are
+    dropped before the next point's are made."""
     y = arraysim.synthesize_block(sl, z, n_s)
-    cov = arraysim.sample_covariance(arraysim.SnapshotSet(y))
-    es = hermitian_evd(cov)
-    y_powers, y_zero = (beamformers.mode_powers(es, y) if "quasi-rls" in cfg.methods
-                        else (None, None))
-    weights = (secular.per_snapshot_weights(es, y) if "copra" in cfg.methods
-               and cfg.gamma_z_policy == "per-snapshot-median" else None)
-    return cov, es, y_powers, y_zero, weights
+    keep = "copra" in cfg.methods and cfg.gamma_z_policy == "per-snapshot-median"
+    return (arraysim.sample_covariance(arraysim.SnapshotSet(y)),
+            ~y.reshape(len(y), -1).any(axis=-1), list(y) if keep else None)
 
 
 def _stack(parts):
@@ -213,9 +201,6 @@ def _stack(parts):
         return first
     if isinstance(first, list):
         return [x for part in parts for x in part]
-    if isinstance(first, HermitianEigensystem):
-        return HermitianEigensystem(*(np.concatenate([getattr(e, k) for e in parts])
-                                      for k in HermitianEigensystem.__slots__))
     return (arraysim.Scenario.concat(parts) if isinstance(first, arraysim.Scenario)
             else np.concatenate(parts))
 
@@ -227,12 +212,15 @@ def _run_block(cfg, indices, points, z, c_in, optimal):
     z the block's draws and c_in its interference-plus-noise covariances,
     shared by every point. Each point's snapshot stage runs on its own
     (_observe), every later stage once over the stack of every point's
-    lanes. optimal returns the stack's clairvoyant (weights, errors).
-    """
+    lanes, from one eigendecomposition of its sample covariances, which
+    flags a failed lane in es.errors. optimal returns the clairvoyant
+    (weights, errors)."""
     lanes = len(indices) * len(points)
     # each point's own parts are dropped once stacked
-    cov, es, y_powers, y_zero, snapshot_weights = (_stack(parts) for parts in zip(
+    cov, y_zero, snapshots = (_stack(parts) for parts in zip(
         *[_observe(cfg, psl, z, n_s) for psl, n_s in points]))
+    es = hermitian_evd(cov)
+    snapshot_weights = snapshots and secular.per_snapshot_weights(es, snapshots)
     sl = _stack([psl for psl, _ in points])
     indices = list(indices) * len(points)
     a = sl.a_presumed
@@ -252,12 +240,12 @@ def _run_block(cfg, indices, points, z, c_in, optimal):
                 idx = np.flatnonzero(mvdr_loaded)
                 loading = 1e-8 * es.eigenvalues[idx].sum(axis=-1) / cfg.n_elements
                 w[idx], loaded_errors = beamformers.loaded_mvdr_lanes(
-                    cov[idx], a[idx], loading)
+                    es[idx], a[idx], loading)
                 for i, e in zip(idx, loaded_errors):
                     errors[i] = e
         elif method == "diagonal-loading":
             loading = cfg.diagonal_loading * sl.noise_power
-            w, errors = beamformers.loaded_mvdr_lanes(cov, a, loading)
+            w, errors = beamformers.loaded_mvdr_lanes(es, a, loading)
         elif method == "copra":
             w = np.zeros_like(a)
             n1, groups = secular.split_lanes(es, cfg.rho)
@@ -276,9 +264,10 @@ def _run_block(cfg, indices, points, z, c_in, optimal):
                                     fallback_z=z.fallback_used)
                     errors[i] = e
         elif method == "quasi-rls":
-            q = cfg.quasi_grid
+            # the snapshot side's powers sum_t |(U^H y)_it|^2 are n_s * lambda_i
+            q, n_s = cfg.quasi_grid, np.repeat([m for _, m in points], lanes // len(points))
             (gb, errors_b), (gz, errors_z) = beamformers.quasi_lanes(
-                es, (beamformers.mode_powers(es, a), (y_powers, y_zero)),
+                es, (beamformers.mode_powers(es, a), (n_s[:, None] * es.eigenvalues, y_zero)),
                 q.points, q.lo_factor, q.hi_factor)
             w, errors = beamformers.copra_lanes(es, gb, gz, a)
             errors = [eb or ez or e for eb, ez, e in zip(errors_b, errors_z, errors)]

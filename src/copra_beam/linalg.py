@@ -12,6 +12,12 @@ __all__ = ["HermitianEigensystem", "hermitian_evd"]
 
 _HERMITIAN_TOL = 1e-8
 
+# trials per block of a run: enough to spread numpy's per-call cost; a
+# sweep's stack holds points x BLOCK lanes, whose snapshots exist one point
+# at a time and whose grid-shaped work runs in chunks of LANE_CHUNK lanes,
+# so the peak memory stays flat
+BLOCK = 10
+
 # lanes per chunk of the grid-shaped work (the secular sign scan, the quasi
 # filter grid): enough to spread numpy's per-call cost, few enough that a
 # stacked sweep point's (lanes, points, n) arrays keep the peak memory flat

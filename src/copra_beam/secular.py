@@ -193,8 +193,8 @@ def secular_function(gamma, split, d):
     return secular_function_weighted(gamma, split, np.abs(d) ** 2)
 
 
-def _scan(lam, lam1, weights, beta, n2, mean_lam):
-    """The logarithmic sign scan of some lanes, one kernel call.
+def _scan(grid, lam, lam1, weights, beta, n2):
+    """The sign scan of some lanes on their (lanes, points) grid, one kernel call.
 
     Per lane: whether G changes sign on its grid, the grid points (lo, hi)
     around the first change, G at both, and the smallest |G| on the grid.
@@ -202,9 +202,6 @@ def _scan(lam, lam1, weights, beta, n2, mean_lam):
     as zero (degenerate spectra make G identically zero without an isolated
     root).
     """
-    grid = np.ascontiguousarray(np.geomspace(SCAN_LO_FACTOR * mean_lam,
-                                             SCAN_HI_FACTOR * mean_lam, SCAN_POINTS,
-                                             axis=-1))
     vals, scales = _kernel(grid, lam, lam1, weights, beta, n2, derivative=False)
     sign = np.sign(vals)
     sign[np.abs(vals) <= 1e-12 * scales] = 0
@@ -242,9 +239,12 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho):
         # on the lanes still open: the arrays below shrink as lanes finish
         return _kernel(x, lam, lam1, weights, beta, n2, derivative)
 
-    # each row sums its own contiguous data, so a chunk's bits are the
-    # whole stack's; chunks keep the (lanes, points, n) arrays small
-    scans = [_scan(lam[c], lam1[c], weights[c], beta, n2, mean_lam[c])
+    # one logarithmic grid for the stack; each row sums its own contiguous
+    # data, so a chunk's bits are the whole stack's, and chunks keep the
+    # (lanes, points, n) arrays small
+    grid = np.ascontiguousarray(np.geomspace(SCAN_LO_FACTOR * mean_lam, SCAN_HI_FACTOR * mean_lam,
+                                             SCAN_POINTS, axis=-1))
+    scans = [_scan(grid[c], lam[c], lam1[c], weights[c], beta, n2)
              for c in lane_chunks(len(lam))]
     found, lo, hi, g_lo, g_hi, floor = (np.concatenate(v) for v in zip(*scans))
     for i in np.flatnonzero(~found):

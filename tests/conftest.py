@@ -1,5 +1,6 @@
 """Shared test helpers: random matrix factories, independent dense-matrix
-oracles for the eigenvalue-sum implementations, the one-trial loop form of
+oracles for the eigenvalue-sum implementations, MVDR on a loaded covariance
+through its own decomposition, the one-trial loop form of
 the scenario and snapshot draw, and the test-only oracles of the regularized
 least-squares problem (MSE formulas, LS/RLS estimators, the worst-case
 robust cost and its gradient, spectral helpers).
@@ -8,7 +9,7 @@ robust cost and its gradient, spectral helpers).
 import numpy as np
 
 from copra_beam import secular
-from copra_beam.beamformers import SingularCovarianceError
+from copra_beam.beamformers import SingularCovarianceError, mvdr_lanes
 from copra_beam.linalg import hermitian_evd
 
 
@@ -238,6 +239,14 @@ def loop_draw(rng, geometry, n_s, n_interferers, snr_db, inr_db, soi_error_bound
         y += np.sqrt(power) * np.outer(steering(doa), circular(n_s))
     y += circular((geometry.n_elements, n_s), power=fields["noise_power"])
     return fields, y
+
+
+def loaded_mvdr_by_decomposition(c, a, loading):
+    """MVDR on C + loading * I of a (lanes, n, n) stack through a fresh
+    decomposition of the loaded matrices. Oracle for the runtime path, which
+    shifts the eigenvalues of C's own eigensystem instead."""
+    loaded = c + np.asarray(loading, dtype=float)[:, None, None] * np.eye(c.shape[-1])
+    return mvdr_lanes(hermitian_evd(loaded), a)
 
 
 def eigensystem_of(matrix):

@@ -14,10 +14,11 @@ import dataclasses
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copra_beam import arraysim, harness
+from copra_beam import arraysim, beamformers, harness
 from copra_beam.config import METHODS, ExperimentConfig
 from copra_beam.harness import run_trial, run_trials
 
@@ -344,7 +345,7 @@ def test_sample_eigensolver_failure_in_a_stacked_snapshot_point_fails_only_its_l
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    failed = ["sample-mvdr", "copra", "quasi-rls"]
+    failed = ["sample-mvdr", "diagonal-loading", "copra", "quasi-rls"]
     bad = _stacked_snapshot_run(monkeypatch, failed)
     assert bad.failures == {m: "Eigenvalues did not converge" for m in failed}
 
@@ -418,3 +419,38 @@ def test_each_point_drops_its_snapshots_before_the_next(monkeypatch):
         del made[:]
         harness.run_sweep(STACKED_SNAPSHOTS, kind, SEED)
         assert len(made) == 3, kind
+
+
+@pytest.mark.parametrize("cfg, kind", [(STACKED, "snr"), (STACKED_SNAPSHOTS, "snapshots")])
+def test_one_sample_decomposition_per_block(monkeypatch, cfg, kind):
+    # a block of either sweep kind decomposes its sample covariances in one
+    # call, and its true covariances once per SNR; every method reads those
+    # eigensystems, so no call sees a loaded covariance
+    made = {"sample": set(), "true": set()}
+    calls = []
+
+    def keep(name, real):
+        def spy(*args):
+            out = real(*args)
+            made[name].update(m.tobytes() for m in out)
+            return out
+        return spy
+
+    def evd(real):
+        def spy(a):
+            calls.append([m.tobytes() for m in np.reshape(a, (-1, *np.shape(a)[-2:]))])
+            return real(a)
+        return spy
+
+    monkeypatch.setattr(arraysim, "sample_covariance", keep("sample", arraysim.sample_covariance))
+    monkeypatch.setattr(beamformers, "true_covariance_lanes",
+                        keep("true", beamformers.true_covariance_lanes))
+    for module in (harness, beamformers):
+        monkeypatch.setattr(module, "hermitian_evd", evd(module.hermitian_evd))
+    assert cfg.trials <= harness.BLOCK
+    harness.run_sweep(cfg, kind, SEED)
+    sample = [c for c in calls if set(c) <= made["sample"]]
+    assert len(sample) == 1 and len(sample[0]) == len(getattr(
+        cfg, "snr_db_grid" if kind == "snr" else "snapshot_grid")) * cfg.trials
+    assert all(set(c) <= made["sample"] | made["true"] for c in calls)
+    assert len(calls) == 1 + (len(cfg.snr_db_grid) if kind == "snr" else 1)

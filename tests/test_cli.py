@@ -113,6 +113,15 @@ class TestConfig:
         ('{"snr_db": -3225, "trials": 2, "snr_db_grid": [-3225.0]}', "snr_db"),
         ('{"snr_db_grid": [0.0, -3225.0]}', "snr_db_grid"),
         ('{"inr_db": 100.5}', "inr_db"),
+        # counts whose largest array would pass the 2**27-value budget
+        ('{"n_snapshots": 1000000000000}', "n_snapshots"),
+        ('{"snapshot_grid": [10, 100000000]}', "snapshot_grid"),
+        ('{"quasi_grid": {"points": 10000000000}}', "quasi_grid.points"),
+        ('{"n_elements": 100000}', "n_elements"),
+        ('{"trials": 1000000000000}', "trials"),
+        ('{"snr_db_grid": [0.0], "trials": 30000000, "methods": ["copra"], '
+         '"snapshot_grid": [10, 20, 30, 40, 50]}', "trials"),
+        ('{"gamma_z_policy": "per-snapshot-median", "n_snapshots": 400000}', "gamma_z_policy"),
     ])
     def test_bad_values_refused_at_load(self, tmp_path, doc, field):
         path = tmp_path / "bad.json"

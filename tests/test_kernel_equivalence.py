@@ -1,7 +1,9 @@
 """The broadcast secular scan and the closed-form quasi selector against
 their scalar and dense forms, on random, rank-deficient, repeated-eigenvalue
 and zero-eigenvalue spectra, and their lane-chunked forms against each lane
-run alone.
+run alone; diagonal loading by a shifted spectrum against a fresh
+decomposition of the loaded covariance, and the snapshot powers n_s * lambda
+against the snapshots' own.
 """
 
 import dataclasses
@@ -10,9 +12,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_quasi_gamma, random_complex_vector, random_psd, secular_scale
-from copra_beam import arraysim, secular
-from copra_beam.beamformers import mode_powers, quasi_lanes, quasi_optimal_gamma
+from conftest import (dense_quasi_gamma, loaded_mvdr_by_decomposition, random_complex_vector,
+                      random_psd, secular_scale)
+from copra_beam import arraysim, harness, secular
+from copra_beam.beamformers import (loaded_mvdr_lanes, mode_powers, mvdr_lanes, quasi_lanes,
+                                    quasi_optimal_gamma)
 from copra_beam.linalg import LANE_CHUNK, HermitianEigensystem, hermitian_evd, lanes_matmul
 
 SPECTRA = ("random", "rank-deficient", "repeated", "zeros", "snapshots")
@@ -152,3 +156,69 @@ def test_quasi_grid_starting_at_zero_fails_only_its_lane():
     lane = es[0:1]
     (gamma_1, _), = quasi_lanes(lane, [mode_powers(lane, r[:1])], lo_factor=5e-324)
     assert float(gamma[0]).hex() == float(gamma_1[0]).hex()
+
+
+def _covariance(kind, n, rng):
+    """A Hermitian PSD matrix of the given kind of spectrum."""
+    if kind == "random":
+        return random_psd(rng, n)
+    if kind == "rank-deficient":
+        # a sample covariance of fewer snapshots than elements
+        n_s = int(rng.integers(1, n))
+        y = rng.standard_normal((n, n_s)) + 1j * rng.standard_normal((n, n_s))
+        return arraysim.sample_covariance(arraysim.SnapshotSet(y))
+    if kind == "repeated":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        c = (q * rng.choice(rng.uniform(0.1, 10.0, 2), size=n)) @ q.conj().T
+        return 0.5 * (c + c.conj().T)
+    return np.zeros((n, n), dtype=complex)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(("random", "rank-deficient", "repeated", "zero")), st.integers(2, 12),
+       st.integers(0, 2**32 - 1), st.sampled_from(("zero", "minimal", "ten")))
+def test_shifted_loading_matches_a_fresh_decomposition(kind, n, seed, loading_kind):
+    # C + loading * I shares C's eigenvectors, so shifting C's eigenvalues
+    # gives its weights. The two paths differ by the round-off of two
+    # backward-stable decompositions, which the weights' SINR sees amplified
+    # by the loaded matrix's condition number kappa: the tolerance is
+    # 1e-12 + 100 * eps * kappa relative (1.2e-6 at the 1e-8 loading of a
+    # rank-deficient C; about 1e-12 at a loading of 10). Both paths flag the
+    # same lanes, and a loading of 0 is sample MVDR bit for bit.
+    rng = np.random.default_rng(seed)
+    c = _covariance(kind, n, rng)[None]
+    a = random_complex_vector(rng, n)[None]
+    es = hermitian_evd(c)
+    loading = np.array([{"zero": 0.0, "minimal": 1e-8 * es.eigenvalues.mean(),
+                         "ten": 10.0}[loading_kind]])
+    w, errors = loaded_mvdr_lanes(es, a, loading)
+    w_oracle, errors_oracle = loaded_mvdr_by_decomposition(c, a, loading)
+    assert [type(e) for e in errors] == [type(e) for e in errors_oracle]
+    if loading_kind == "zero":
+        w_mvdr, errors_mvdr = mvdr_lanes(es, a)
+        assert w.tobytes() == w_mvdr.tobytes()
+        assert [repr(e) for e in errors] == [repr(e) for e in errors_mvdr]
+    if errors[0] is None:
+        c_in, a_true = random_psd(rng, n)[None], random_complex_vector(rng, n)[None]
+        sinr, sinr_oracle = (harness._sinr_lanes(v[:, None], c_in, a_true, np.ones(1))[0, 0]
+                             for v in (w, w_oracle))
+        lam = es.eigenvalues[0] + loading[0]
+        tol = 1e-12 + 100 * np.finfo(float).eps * lam[0] / lam[-1]
+        assert abs(sinr - sinr_oracle) <= tol * abs(sinr_oracle)
+
+
+def test_snapshot_powers_are_n_s_times_the_eigenvalues():
+    # U^H (Y Y^H) U = n_s * Lambda: the quasi selector's snapshot-side powers
+    # sum_t |(U^H y)_it|^2 are n_s * lambda_i to round-off, and from 3
+    # snapshots on the selector picks the same grid point from either
+    for seed in (1, 2, 3):
+        for snr_db in (-10.0, 10.0, 30.0):
+            for n_s in (3, 5, 10, 30, 100):
+                rngs = [np.random.default_rng([seed, i]) for i in range(20)]
+                sl, y = arraysim.draw_trials(rngs, n_s, snr_db=snr_db)
+                es = hermitian_evd(arraysim.sample_covariance(arraysim.SnapshotSet(y)))
+                p, zero = mode_powers(es, y)
+                p_lam = n_s * es.eigenvalues
+                assert np.all(np.abs(p - p_lam) <= 1e-12 * p.max(axis=-1, keepdims=True))
+                (gamma, _), (gamma_lam, _) = quasi_lanes(es, [(p, zero), (p_lam, zero)])
+                assert gamma.tobytes() == gamma_lam.tobytes(), (seed, snr_db, n_s)
