@@ -1,16 +1,78 @@
 """Shared test helpers: random matrix factories, independent dense-matrix
 oracles for the eigenvalue-sum implementations, MVDR on a loaded covariance
 through its own decomposition, the one-trial loop form of
-the scenario and snapshot draw, and the test-only oracles of the regularized
+the scenario and snapshot draw, the test-only oracles of the regularized
 least-squares problem (MSE formulas, LS/RLS estimators, the worst-case
-robust cost and its gradient, spectral helpers).
+robust cost and its gradient, spectral helpers), and the reference sweeps,
+run once per session.
 """
 
-import numpy as np
+import hashlib
+import json
+import time
+from pathlib import Path
 
-from copra_beam import secular
+import numpy as np
+import pytest
+
+from copra_beam import cli, harness, secular
 from copra_beam.beamformers import SingularCovarianceError, mvdr_lanes
+from copra_beam.config import ExperimentConfig
 from copra_beam.linalg import hermitian_evd
+
+# The reference protocol at seed 7: acceptance criterion 1's SNR sweep at 30
+# snapshots and criterion 2's snapshot sweep at 20 dB, 1000 trials each.
+REFERENCE_SWEEPS = {
+    "snr": ExperimentConfig(trials=1000, n_snapshots=30,
+                            snr_db_grid=(-10.0, 0.0, 10.0, 20.0, 30.0), seed=7),
+    "snapshots": ExperimentConfig(trials=1000, snr_db=20.0,
+                                  snapshot_grid=tuple(range(10, 101, 10)), seed=7),
+}
+SWEEP_FILES = ("sweep.csv", "sweep.svg", "meta.json")
+
+
+def reference_sweep(kind, workdir):
+    """Run a reference sweep through `copra-beam sweep`.
+
+    Returns (result, seconds, files): the SweepResult, run_sweep's wall time
+    and, by file name, the bytes of the sweep's output files plus
+    columns.sha256, the digest of every (point, method) SINR and fallback
+    column its rows are aggregated from. The rows' 9-digit CSV cannot show
+    a last-bit change in one trial's SINR; the digest does.
+    """
+    workdir = Path(workdir)
+    cfg_path = workdir / "cfg.json"
+    cfg_path.write_text(json.dumps(REFERENCE_SWEEPS[kind].to_dict()))
+    digest, kept = hashlib.sha256(), []
+    real_aggregate, real_sweep = harness._aggregate, cli.run_sweep
+
+    def aggregate(sinr, fallback, *args):
+        digest.update(np.ascontiguousarray(sinr).tobytes())
+        digest.update(np.ascontiguousarray(fallback).tobytes())
+        return real_aggregate(sinr, fallback, *args)
+
+    def timed(*args, **kwargs):
+        t0 = time.time()
+        kept.append(real_sweep(*args, **kwargs))
+        kept.append(time.time() - t0)
+        return kept[0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_aggregate", aggregate)
+        patch.setattr(cli, "run_sweep", timed)
+        assert cli.main(["sweep", "--kind", kind, "--config", str(cfg_path),
+                         "--out", str(workdir / "out")]) == 0
+    files = {name: (workdir / "out" / name).read_bytes() for name in SWEEP_FILES}
+    files["columns.sha256"] = (digest.hexdigest() + "\n").encode()
+    result, seconds = kept
+    return result, seconds, files
+
+
+@pytest.fixture(scope="session")
+def reference_sweeps(tmp_path_factory):
+    """reference_sweep of both kinds, run once per session."""
+    return {kind: reference_sweep(kind, tmp_path_factory.mktemp(kind))
+            for kind in REFERENCE_SWEEPS}
 
 
 def random_hermitian(rng, n, scale=1.0):

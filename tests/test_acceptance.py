@@ -6,12 +6,12 @@ and prints a single PASS/FAIL line. The suite is slower than the unit tests
 """
 
 import json
-import time
 
 import numpy as np
 import pytest
 
 from conftest import (
+    REFERENCE_SWEEPS,
     gamma_mse_approx,
     grid_scan_roots,
     random_complex_vector,
@@ -26,7 +26,6 @@ from conftest import (
 from copra_beam import arraysim, beamformers, secular
 from copra_beam.cli import main as cli_main
 from copra_beam.config import ExperimentConfig
-from copra_beam.harness import run_sweep
 from copra_beam.linalg import hermitian_evd
 
 SEED = 7
@@ -50,13 +49,9 @@ def _ordering_ok(result, points):
     return bad
 
 
-def test_criterion_1_snr_sweep_ordering():
-    cfg = ExperimentConfig(trials=1000, n_snapshots=30,
-                           snr_db_grid=(-10.0, 0.0, 10.0, 20.0, 30.0),
-                           seed=SEED)
-    t0 = time.time()
-    result = run_sweep(cfg, "snr")
-    elapsed = time.time() - t0
+def test_criterion_1_snr_sweep_ordering(reference_sweeps):
+    cfg = REFERENCE_SWEEPS["snr"]
+    result, elapsed, _ = reference_sweeps["snr"]
     bad = _ordering_ok(result, cfg.snr_db_grid)
     ok = not bad and elapsed < 300.0
     _report(1, ok,
@@ -66,11 +61,9 @@ def test_criterion_1_snr_sweep_ordering():
                else "violated at %s" % bad))
 
 
-def test_criterion_2_snapshot_sweep_ordering():
-    cfg = ExperimentConfig(trials=1000, snr_db=20.0,
-                           snapshot_grid=tuple(range(10, 101, 10)),
-                           seed=SEED)
-    result = run_sweep(cfg, "snapshots")
+def test_criterion_2_snapshot_sweep_ordering(reference_sweeps):
+    cfg = REFERENCE_SWEEPS["snapshots"]
+    result = reference_sweeps["snapshots"][0]
     points = [float(v) for v in cfg.snapshot_grid]
     bad = _ordering_ok(result, points)
     gap_bad = []

@@ -2,9 +2,14 @@
 
 The files under tests/golden/ hold every method's SINR, both regularization
 levels and both fallback flags of each trial as full-precision ``repr``
-strings, plus the ``sweep.csv`` and ``meta.json`` bytes of one
-``copra-beam sweep``. The CSV's 9 significant digits alone would let last-bit
-drift through; the records do not.
+strings, with copra's split, sample MVDR's loading flag and the failures,
+plus the ``sweep.csv`` and ``meta.json`` bytes of one ``copra-beam sweep``.
+The CSV's 9 significant digits alone would let last-bit drift through; the
+records do not. ``reference-snr/`` and ``reference-snapshots/`` hold the
+``sweep.csv``, ``sweep.svg`` and ``meta.json`` bytes of the two reference
+sweeps (``conftest.REFERENCE_SWEEPS``, 1000 trials a point) and the digest of
+their SINR and fallback columns, which a one-ulp change of one trial's SINR
+moves.
 
 The snapshot sweep includes 5 and 10 snapshots on 10 elements, where the
 sample covariance is rank-deficient: sample MVDR takes its loaded path and the
@@ -20,6 +25,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
+from conftest import REFERENCE_SWEEPS, reference_sweep
 from copra_beam.cli import main as cli_main
 from copra_beam.config import ExperimentConfig
 from copra_beam.harness import run_trial
@@ -46,6 +54,10 @@ def _record(rec):
         "gamma_z": _bits(rec.gamma_z),
         "fallback_b": rec.fallback_b,
         "fallback_z": rec.fallback_z,
+        "n1": rec.n1,
+        "n2": rec.n2,
+        "mvdr_loaded": rec.mvdr_loaded,
+        "failures": rec.failures,
     }
 
 
@@ -85,6 +97,12 @@ def test_sweep_outputs_match_golden(tmp_path):
         assert got[name] == (GOLDEN / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("kind", sorted(REFERENCE_SWEEPS))
+def test_reference_sweep_outputs_match_golden(reference_sweeps, kind):
+    for name, data in reference_sweeps[kind][2].items():
+        assert data == (GOLDEN / ("reference-" + kind) / name).read_bytes(), name
+
+
 def main():
     GOLDEN.mkdir(exist_ok=True)
     text = json.dumps(trial_records(), indent=1, sort_keys=True) + "\n"
@@ -92,6 +110,12 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in sweep_outputs(tmp).items():
             (GOLDEN / name).write_bytes(data)
+        for kind in REFERENCE_SWEEPS:
+            out, work = GOLDEN / ("reference-" + kind), Path(tmp) / kind
+            out.mkdir(exist_ok=True)
+            work.mkdir()
+            for name, data in reference_sweep(kind, work)[2].items():
+                (out / name).write_bytes(data)
     return 0
 
 

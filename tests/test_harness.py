@@ -96,6 +96,9 @@ class TestRunTrial:
         assert rec.n1 >= 1 and rec.n1 + rec.n2 == 10
         rec = run_trial(_fast_cfg(methods=("optimal",)), 0, 7)
         assert (rec.n1, rec.n2) == (None, None)
+        # without interferers every eigenvalue is significant: no truncation
+        rec = run_trial(_fast_cfg(n_interferers=0), 0, 7)
+        assert (rec.n1, rec.n2) == (10, 0)
 
     def test_wide_doa_guard_completes(self):
         cfg = _fast_cfg(trials=1, doa_guard_deg=89.0)
