@@ -13,13 +13,13 @@ snapshots, summed at its SOI power from a prefix of the draws, and their
 sample covariances; then the snapshots are dropped. One eigendecomposition
 of the stack of every point's sample covariances serves every method, the
 split, both secular solves, the quasi selector, every method's weights and
-the SINR then run once per block over that stack. run_trials is the
-one-point case. All methods see the same scenario and noise realizations,
-within a point and across points (paired comparison).
+the SINR then run once per block over that stack, into per-lane columns.
+run_trials, the one-point case, alone makes TrialRecords of them. All
+methods see the same scenario and noise realizations, within a point and
+across points (paired comparison).
 """
 
 import dataclasses
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -132,16 +132,17 @@ def _draw_block(cfg, indices, master_seed, n_s):
 
 
 def _run_points(point_cfgs, indices, master_seed):
-    """The records of one block of trials at every point of a sweep, per point.
+    """(the block's Scenario, each point's _run_block columns) of one block
+    of trials at every point of a sweep.
 
     The point configs differ at most in snr_db and n_snapshots. Each trial
     is drawn once, for the largest snapshot count; the steering vectors and
     interference-plus-noise covariances are built once, and the clairvoyant
     weights once per SNR. The distinct points run as one stack through one
-    _run_block, and a repeated point gets its first occurrence's records: a
-    point's records are those run_trials gives for it alone. Every kernel,
+    _run_block, and a repeated point gets its first occurrence's columns: a
+    point's columns are those run_trials gives for it alone. Every kernel,
     the eigensolver too, reports its failures per lane, so a lane that
-    fails fails in its own record only.
+    fails fails in its own row only.
     """
     cfg = point_cfgs[0]
     sl, z = _draw_block(cfg, indices, master_seed, max(c.n_snapshots for c in point_cfgs))
@@ -156,25 +157,43 @@ def _run_points(point_cfgs, indices, master_seed):
         return (_stack([built[snr_db][0] for snr_db, _ in keys]),
                 [e for snr_db, _ in keys for e in built[snr_db][1]])
 
-    records = _run_block(cfg, indices, points, z, c_in, optimal)
+    columns = _run_block(cfg, points, z, c_in, optimal)
     lanes = len(indices)
-    by_point = {key: records[j * lanes:(j + 1) * lanes] for j, key in enumerate(keys)}
-    return [by_point[c.snr_db, c.n_snapshots] for c in point_cfgs]
+    by_point = {key: {name: col[j * lanes:(j + 1) * lanes] for name, col in columns.items()}
+                for j, key in enumerate(keys)}
+    return sl, [by_point[c.snr_db, c.n_snapshots] for c in point_cfgs]
 
 
 def run_trials(cfg, indices, master_seed):
     """Run the Monte-Carlo trials of the given indices, in that order.
 
     The one-point case of a sweep: the trials run in blocks of BLOCK lanes,
-    each drawn from its own substream. A trial's record does not depend on
-    the other trials of its block, so it is the same for any index set,
-    order or block split. Per-method failures, the eigensolver's among
-    them, are recorded per lane as missing values; nothing raises, so long
-    sweeps always complete.
+    each drawn from its own substream, and only here do a block's columns
+    become records. A trial's record does not depend on the other trials of
+    its block, so it is the same for any index set, order or block split.
+    Per-method failures, the eigensolver's among them, are recorded per lane
+    as missing values; nothing raises, so long sweeps always complete.
     """
     indices = [int(i) for i in indices]
-    return [rec for start in range(0, len(indices), BLOCK)
-            for rec in _run_points([cfg], indices[start:start + BLOCK], master_seed)[0]]
+    records = []
+    for start in range(0, len(indices), BLOCK):
+        block = indices[start:start + BLOCK]
+        sl, (columns,) = _run_points([cfg], block, master_seed)
+        sinr, failures, n1, gamma_b, gamma_z, fallback_b, fallback_z, loaded = (
+            columns[name].tolist() for name in ("sinr", "failures", "n1", "gamma_b", "gamma_z",
+                                                "fallback_b", "fallback_z", "mvdr_loaded"))
+        soi_doa, soi_error = sl.soi_doa_deg.tolist(), sl.soi_error_deg.tolist()
+        interferer_doas = sl.interferer_doas_deg.tolist()
+        for i, index in enumerate(block):
+            failed = {m: f for m, f in zip(cfg.methods, failures[i]) if f is not None}
+            records.append(TrialRecord(
+                trial_index=index, failures=failed,
+                sinr={m: None if m in failed else v for m, v in zip(cfg.methods, sinr[i])},
+                n1=n1[i] or None, n2=cfg.n_elements - n1[i] if n1[i] else None,
+                gamma_b=gamma_b[i], gamma_z=gamma_z[i], fallback_b=fallback_b[i],
+                fallback_z=fallback_z[i], mvdr_loaded=loaded[i], soi_doa_deg=soi_doa[i],
+                soi_error_deg=soi_error[i], interferer_doas_deg=tuple(interferer_doas[i])))
+    return records
 
 
 def run_trial(cfg, trial_index, master_seed):
@@ -205,8 +224,8 @@ def _stack(parts):
             else np.concatenate(parts))
 
 
-def _run_block(cfg, indices, points, z, c_in, optimal):
-    """The records of a block of drawn trials at some points, point-major.
+def _run_block(cfg, points, z, c_in, optimal):
+    """The columns of a block of drawn trials at some points, point-major.
 
     points holds (Scenario of the block at the point's SOI power, n_s) pairs,
     z the block's draws and c_in its interference-plus-noise covariances,
@@ -214,27 +233,31 @@ def _run_block(cfg, indices, points, z, c_in, optimal):
     (_observe), every later stage once over the stack of every point's
     lanes, from one eigendecomposition of its sample covariances, which
     flags a failed lane in es.errors. optimal returns the clairvoyant
-    (weights, errors)."""
-    lanes = len(indices) * len(points)
+    (weights, errors). Returns a dict of per-lane columns: (lanes, methods)
+    sinr, NaN where a method failed, failures, each message or None, and
+    fallback (copra on either side, sample MVDR loaded); copra's n1 (0 where
+    it did not split), gamma_b, gamma_z, fallback_b and fallback_z; and
+    mvdr_loaded."""
+    lanes = len(c_in) * len(points)
     # each point's own parts are dropped once stacked
     cov, y_zero, snapshots = (_stack(parts) for parts in zip(
         *[_observe(cfg, psl, z, n_s) for psl, n_s in points]))
     es = hermitian_evd(cov)
     snapshot_weights = snapshots and secular.per_snapshot_weights(es, snapshots)
     sl = _stack([psl for psl, _ in points])
-    indices = list(indices) * len(points)
     a = sl.a_presumed
 
-    weights, method_errors = [], []
-    copra = [dict(n1=None, n2=None, gamma_b=float("nan"), gamma_z=float("nan"),
-                  fallback_b=False, fallback_z=False) for _ in indices]
-    mvdr_loaded = np.zeros(lanes, dtype=bool)
+    weights = np.zeros((lanes, len(cfg.methods), a.shape[1]), dtype=complex)
+    failures = np.full((lanes, len(cfg.methods)), None, dtype=object)
+    fallback = np.zeros((lanes, len(cfg.methods)), dtype=bool)
+    n1 = np.zeros(lanes, dtype=int)
+    gamma_b, gamma_z = np.full((2, lanes), np.nan)
+    fallback_b, fallback_z, mvdr_loaded = np.zeros((3, lanes), dtype=bool)
 
-    for method in cfg.methods:
+    for m, method in enumerate(cfg.methods):
         if method == "sample-mvdr":
             w, errors = beamformers.mvdr_lanes(es, a)
-            mvdr_loaded = np.array([isinstance(e, SingularCovarianceError)
-                                    for e in errors])
+            mvdr_loaded = np.array([isinstance(e, SingularCovarianceError) for e in errors])
             if mvdr_loaded.any():
                 # minimal loading keeps the baseline plottable at small n_s
                 idx = np.flatnonzero(mvdr_loaded)
@@ -243,6 +266,7 @@ def _run_block(cfg, indices, points, z, c_in, optimal):
                     es[idx], a[idx], loading)
                 for i, e in zip(idx, loaded_errors):
                     errors[i] = e
+            fallback[:, m] = mvdr_loaded
         elif method == "diagonal-loading":
             loading = cfg.diagonal_loading * sl.noise_power
             w, errors = beamformers.loaded_mvdr_lanes(es, a, loading)
@@ -255,17 +279,19 @@ def _run_block(cfg, indices, points, z, c_in, optimal):
                 reports = secular.copra_gammas_lanes(
                     split, a[idx], snapshot_weights and [snapshot_weights[i] for i in idx],
                     snapshot_policy=cfg.gamma_z_policy)
+                reports_b, reports_z = zip(*reports)
+                gamma_b[idx] = [r.gamma for r in reports_b]
+                gamma_z[idx] = [r.gamma for r in reports_z]
+                fallback_b[idx] = [r.fallback_used for r in reports_b]
+                fallback_z[idx] = [r.fallback_used for r in reports_z]
                 w[idx], split_errors = beamformers.copra_lanes(
-                    split.es, np.array([b.gamma for b, _ in reports]),
-                    np.array([z.gamma for _, z in reports]), a[idx])
-                for i, (b, z), e in zip(idx, reports, split_errors):
-                    copra[i] = dict(n1=split.n1, n2=split.n2, gamma_b=b.gamma,
-                                    gamma_z=z.gamma, fallback_b=b.fallback_used,
-                                    fallback_z=z.fallback_used)
+                    split.es, gamma_b[idx], gamma_z[idx], a[idx])
+                for i, e in zip(idx, split_errors):
                     errors[i] = e
+            fallback[:, m] = fallback_b | fallback_z
         elif method == "quasi-rls":
             # the snapshot side's powers sum_t |(U^H y)_it|^2 are n_s * lambda_i
-            q, n_s = cfg.quasi_grid, np.repeat([m for _, m in points], lanes // len(points))
+            q, n_s = cfg.quasi_grid, np.repeat([k for _, k in points], lanes // len(points))
             (gb, errors_b), (gz, errors_z) = beamformers.quasi_lanes(
                 es, (beamformers.mode_powers(es, a), (n_s[:, None] * es.eigenvalues, y_zero)),
                 q.points, q.lo_factor, q.hi_factor)
@@ -273,48 +299,20 @@ def _run_block(cfg, indices, points, z, c_in, optimal):
             errors = [eb or ez or e for eb, ez, e in zip(errors_b, errors_z, errors)]
         else:  # "optimal"; the config refuses any other method
             w, errors = optimal()
-        weights.append(w)
-        method_errors.append(errors)
+        weights[:, m] = w
+        failures[:, m] = [None if e is None else str(e) for e in errors]
 
-    w = np.stack(weights, axis=1) if weights else np.empty((lanes, 0, a.shape[1]), complex)
-    values = _sinr_lanes(w, c_in, sl.a_true, sl.soi_power).tolist()
-    zero = (~w.any(axis=-1)).tolist()
-    sinr = [{} for _ in indices]
-    failures = [{} for _ in indices]
-    for m, (method, errors) in enumerate(zip(cfg.methods, method_errors)):
-        for i, e in enumerate(errors):
-            if e is None and zero[i][m]:
-                e = ValueError("weight vector is zero")
-            elif e is None and not math.isfinite(values[i][m]):
-                e = ValueError("SINR is not finite")
-            sinr[i][method] = None if e else values[i][m]
-            if e:
-                failures[i][method] = str(e)
-
-    soi_doa, soi_error = sl.soi_doa_deg.tolist(), sl.soi_error_deg.tolist()
-    interferer_doas = sl.interferer_doas_deg.tolist()
-    return [TrialRecord(trial_index=index, sinr=sinr[i], failures=failures[i],
-                        mvdr_loaded=bool(mvdr_loaded[i]), soi_doa_deg=soi_doa[i],
-                        soi_error_deg=soi_error[i],
-                        interferer_doas_deg=tuple(interferer_doas[i]), **copra[i])
-            for i, index in enumerate(indices)]
-
-
-def _fallback(record, method):
-    if method == "copra":
-        return record.fallback_b or record.fallback_z
-    if method == "sample-mvdr":
-        return record.mvdr_loaded
-    return False
-
-
-def _columns(records, methods):
-    """What _aggregate reads of some records: (trials, methods) arrays of
-    the SINRs, NaN where a method failed, and of the fallback flags."""
-    sinr = np.array([[np.nan if r.sinr[m] is None else r.sinr[m] for m in methods]
-                     for r in records], dtype=float)
-    fallback = np.array([[_fallback(r, m) for m in methods] for r in records], dtype=bool)
-    return sinr, fallback
+    sinr = _sinr_lanes(weights, c_in, sl.a_true, sl.soi_power)
+    # a method's own error first, then a zero weight vector, then a SINR
+    # that is not finite
+    ok = np.equal(failures, None)
+    zero = ok & ~weights.any(axis=-1)
+    failures[zero] = "weight vector is zero"
+    failures[ok & ~zero & ~np.isfinite(sinr)] = "SINR is not finite"
+    sinr[~np.equal(failures, None)] = np.nan
+    return dict(sinr=sinr, failures=failures, fallback=fallback, n1=n1, gamma_b=gamma_b,
+                gamma_z=gamma_z, fallback_b=fallback_b, fallback_z=fallback_z,
+                mvdr_loaded=mvdr_loaded)
 
 
 def _aggregate(sinr, fallback, method, value):
@@ -332,10 +330,10 @@ def _aggregate(sinr, fallback, method, value):
 
 
 def _sweep_block(point_cfgs, indices, master_seed):
-    """One sweep job: a block of trials at every point, as columns per point."""
-    methods = point_cfgs[0].methods
-    return [_columns(records, methods)
-            for records in _run_points(point_cfgs, indices, master_seed)]
+    """One sweep job: a block of trials at every point, as the (sinr,
+    fallback) columns of each point."""
+    return [(columns["sinr"], columns["fallback"])
+            for columns in _run_points(point_cfgs, indices, master_seed)[1]]
 
 
 def run_sweep(cfg, sweep_kind, master_seed=None):

@@ -2,7 +2,8 @@
 
 Each test exercises one headline claim of the package at full protocol scale
 and prints a single PASS/FAIL line. The suite is slower than the unit tests
-(several minutes total) but runs entirely from fixed seeds.
+(several minutes total) but runs entirely from fixed seeds. Criteria 1 and
+2 read the reference sweeps, which conftest runs once per session.
 """
 
 import json

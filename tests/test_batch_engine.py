@@ -5,12 +5,13 @@
 record of the same trial run alone, whatever the index set, its order and
 the block split, on configs that reach every failure and fallback path.
 A sweep runs each block over every point, drawing each trial once and
-stacking every distinct point; its rows must equal those aggregated from
-``run_trials`` run point by point, also when one trial of one stacked point
-fails.
+stacking every distinct point, and aggregates the block's columns without
+building a record; its rows must equal those aggregated from ``run_trials``
+run point by point, also when one trial of one stacked point fails.
 """
 
 import dataclasses
+import types
 import weakref
 
 import numpy as np
@@ -38,6 +39,20 @@ def _bits(value):
 
 def _fields(record):
     return {f.name: _bits(getattr(record, f.name)) for f in dataclasses.fields(record)}
+
+
+def _lane(columns, i):
+    """Every column of lane i of a point's _run_points columns, floats as hex."""
+    return {name: _bits(col[i].tolist()) for name, col in columns.items()}
+
+
+def _lane_record(columns, methods, i):
+    """The failures and SINRs of lane i of a point's _run_points columns, as
+    its TrialRecord holds them."""
+    failures = {m: f for m, f in zip(methods, columns["failures"][i]) if f is not None}
+    sinr = {m: None if m in failures else v
+            for m, v in zip(methods, columns["sinr"][i].tolist())}
+    return types.SimpleNamespace(failures=failures, sinr=sinr)
 
 
 def _configs(**fields):
@@ -150,6 +165,16 @@ def test_eigensolver_failure_fails_only_its_lane(monkeypatch):
 def _per_point_rows(cfg, kind):
     """The rows of a sweep built point by point from run_trials, as run_sweep
     built them when it ran each (point, block) pair on its own."""
+    def columns(records):
+        # what the rows are aggregated from: (trials, methods) arrays of the
+        # SINRs, NaN where a method failed, and of the fallback flags
+        sinr = np.array([[np.nan if r.sinr[m] is None else r.sinr[m] for m in cfg.methods]
+                         for r in records], dtype=float)
+        fallback = np.array([[{"copra": r.fallback_b or r.fallback_z,
+                               "sample-mvdr": r.mvdr_loaded}.get(m, False) for m in cfg.methods]
+                             for r in records], dtype=bool)
+        return sinr, fallback
+
     if kind == "snr":
         points = [(float(v), dataclasses.replace(cfg, snr_db=float(v))) for v in cfg.snr_db_grid]
     else:
@@ -157,7 +182,7 @@ def _per_point_rows(cfg, kind):
                   for v in cfg.snapshot_grid]
     rows = []
     for value, pcfg in points:
-        sinr, fallback = harness._columns(run_trials(pcfg, range(cfg.trials), SEED), cfg.methods)
+        sinr, fallback = columns(run_trials(pcfg, range(cfg.trials), SEED))
         rows += [harness._aggregate(sinr[:, m], fallback[:, m], method, value)
                  for m, method in enumerate(cfg.methods)]
     return tuple(rows)
@@ -224,20 +249,20 @@ def _stacked_run(monkeypatch, failed):
     here, synthesizes each point's snapshots once: no lane is run again."""
     point_cfgs = [dataclasses.replace(STACKED, snr_db=v) for v in STACKED.snr_db_grid]
     synthesized = _synthesized(monkeypatch)
-    records = harness._run_points(point_cfgs, INDICES, SEED)
+    _, columns = harness._run_points(point_cfgs, INDICES, SEED)
     assert len(synthesized) == len(point_cfgs)
     rows = harness.run_sweep(STACKED, "snr", SEED).rows
     assert len(synthesized) == 2 * len(point_cfgs)
     patched_rows = _per_point_rows(STACKED, "snr")
     monkeypatch.undo()
-    bad = records[POINT][BAD]
+    bad = _lane_record(columns[POINT], STACKED.methods, BAD)
     assert set(bad.failures) == set(failed)
     assert all(bad.sinr[m] is None for m in failed)
     for p, cfg in enumerate(point_cfgs):
-        alone = run_trials(cfg, INDICES, SEED)
+        _, (alone,) = harness._run_points([cfg], INDICES, SEED)
         for i in INDICES:
             if (p, i) != (POINT, BAD):
-                assert _fields(records[p][i]) == _fields(alone[i]), (p, i)
+                assert _lane(columns[p], i) == _lane(alone, i), (p, i)
     assert repr(rows) == repr(patched_rows)
     for row, want in zip(rows, _per_point_rows(STACKED, "snr")):
         if row.value != STACKED.snr_db_grid[POINT]:
@@ -299,20 +324,20 @@ def _stacked_snapshot_run(monkeypatch, failed):
     point_cfgs = [dataclasses.replace(STACKED_SNAPSHOTS, n_snapshots=v)
                   for v in STACKED_SNAPSHOTS.snapshot_grid]
     synthesized = _synthesized(monkeypatch)
-    records = harness._run_points(point_cfgs, INDICES, SEED)
+    _, columns = harness._run_points(point_cfgs, INDICES, SEED)
     assert len(synthesized) == len(point_cfgs)
     rows = harness.run_sweep(STACKED_SNAPSHOTS, "snapshots", SEED).rows
     assert len(synthesized) == 2 * len(point_cfgs)
     patched_rows = _per_point_rows(STACKED_SNAPSHOTS, "snapshots")
     monkeypatch.undo()
-    bad = records[POINT][BAD]
+    bad = _lane_record(columns[POINT], STACKED_SNAPSHOTS.methods, BAD)
     assert set(bad.failures) == set(failed)
     assert all(bad.sinr[m] is None for m in failed)
     for p, cfg in enumerate(point_cfgs):
-        alone = run_trials(cfg, INDICES, SEED)
+        _, (alone,) = harness._run_points([cfg], INDICES, SEED)
         for i in INDICES:
             if (p, i) != (POINT, BAD):
-                assert _fields(records[p][i]) == _fields(alone[i]), (p, i)
+                assert _lane(columns[p], i) == _lane(alone, i), (p, i)
     assert repr(rows) == repr(patched_rows)
     for row, want in zip(rows, _per_point_rows(STACKED_SNAPSHOTS, "snapshots")):
         if row.value != STACKED_SNAPSHOTS.snapshot_grid[POINT]:
@@ -391,7 +416,7 @@ def test_snapshot_sweep_runs_one_stack_per_block(monkeypatch):
 
 
 def test_repeated_point_runs_once(monkeypatch):
-    # a repeated point's lanes are not stacked again: it takes the records
+    # a repeated point's lanes are not stacked again: it takes the columns
     # of its first occurrence
     cfg = ExperimentConfig(trials=10, n_elements=6, snapshot_grid=(12, 3, 1, 12),
                            snr_db_grid=(30.0, -10.0, 30.0))
@@ -401,6 +426,21 @@ def test_repeated_point_runs_once(monkeypatch):
         monkeypatch.undo()
         assert sizes == [lanes], kind
         assert repr(rows) == repr(_per_point_rows(cfg, kind)), kind
+
+
+def test_sweep_builds_no_records(monkeypatch):
+    # a sweep aggregates its blocks' columns; only run_trials makes records
+    def refuse(**fields):
+        raise AssertionError("a TrialRecord was built")
+
+    monkeypatch.setattr(harness, "TrialRecord", refuse)
+    with pytest.raises(AssertionError, match="TrialRecord"):
+        run_trials(STACKED_SNAPSHOTS, [0], SEED)
+    # two blocks, serially
+    cfg = dataclasses.replace(STACKED_SNAPSHOTS, trials=2 * harness.BLOCK)
+    assert cfg.workers == 1
+    for kind in ("snr", "snapshots"):
+        harness.run_sweep(cfg, kind, SEED)
 
 
 def test_each_point_drops_its_snapshots_before_the_next(monkeypatch):
