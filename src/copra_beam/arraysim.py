@@ -10,9 +10,8 @@ guard redraws, then the look error) and one call for all of its Gaussian
 draws, sized for the sweep's largest snapshot count; the steering vectors
 and powers run once over the block. synthesize_block then forms the
 snapshots of one sweep point from a prefix of those draws, summed once over
-the block, Scenario.at_snr sets a point's SOI power without redrawing, and
-Scenario.concat stacks the blocks of several points into one.
-draw_trials is the one-point case, and draw_scenario and
+the block, and Scenario.at_snr sets a point's SOI power without
+redrawing. draw_trials is the one-point case, and draw_scenario and
 synthesize_snapshots the one-lane case. The covariance functions also take
 a block of lanes; each lane gets the bits of a single call.
 """
@@ -37,7 +36,6 @@ __all__ = [
     "interference_noise_covariance",
     "true_covariance",
     "interference_noise_lanes",
-    "true_covariance_lanes",
 ]
 
 
@@ -88,16 +86,6 @@ class Scenario:
         out = dataclasses.replace(
             self, soi_power=np.full_like(self.soi_power, 10.0 ** (snr_db / 10.0)))
         out.__dict__["a_interferers"] = self.a_interferers
-        return out
-
-    @staticmethod
-    def concat(blocks):
-        """One block of the lanes of several blocks of one geometry, block
-        after block; their interferers' steering vectors are kept."""
-        out = dataclasses.replace(blocks[0], **{
-            f.name: np.concatenate([getattr(b, f.name) for b in blocks])
-            for f in dataclasses.fields(Scenario) if f.name != "geometry"})
-        out.__dict__["a_interferers"] = np.concatenate([b.a_interferers for b in blocks])
         return out
 
     @functools.cached_property
@@ -355,11 +343,6 @@ def interference_noise_lanes(sl):
     return c
 
 
-def true_covariance_lanes(sl, c_in):
-    """Ensemble covariances: the lanes' interference + noise c_in plus the SOI term."""
-    return c_in + _outer(sl.soi_power, sl.a_true)
-
-
 def interference_noise_covariance(scenario):
     """Covariance of interference plus noise, built from true interferer directions."""
     return interference_noise_lanes(scenario[None])[0]
@@ -368,4 +351,4 @@ def interference_noise_covariance(scenario):
 def true_covariance(scenario):
     """Ensemble covariance of the snapshots: interference + noise + SOI term."""
     sl = scenario[None]
-    return true_covariance_lanes(sl, interference_noise_lanes(sl))[0]
+    return (interference_noise_lanes(sl) + _outer(sl.soi_power, sl.a_true))[0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraysim import interference_noise_lanes, true_covariance_lanes
+from .arraysim import interference_noise_lanes
 from .linalg import (HermitianEigensystem, flag_lanes, hermitian_evd, lane_chunks,
                      lanes_matmul, one_lane)
 
@@ -95,22 +95,24 @@ def copra_lanes(es, gamma_b, gamma_z, a):
                lambda i: SingularCovarianceError(
                    "zero regularization requires a numerically invertible spectrum"))
     d = lanes_matmul(_uh(es), a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        numer_filter = lam / ((lam + gb) * (lam + gz))
-        denom = np.sum(lam / (lam + gb) ** 2 * np.abs(d) ** 2, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lbz, lb_sq = (lam + gb) * (lam + gz), (lam + gb) ** 2
+        flag_lanes(errors, ~(np.isfinite(lbz) & np.isfinite(lb_sq)).all(axis=-1),
+                   lambda i: ValueError("regularization level %g overflows the filter"
+                                        % max(gamma_b[i], gamma_z[i])))
+        denom = np.sum(lam / lb_sq * np.abs(d) ** 2, axis=-1)
         flag_lanes(errors, denom == 0.0, lambda i: ValueError(
             "steering vector orthogonal to all retained modes"))
-        w = lanes_matmul(es.u, numer_filter * d) / denom[:, None]
+        w = lanes_matmul(es.u, lam / lbz * d) / denom[:, None]
     return w, errors
 
 
-def optimal_lanes(sl, c_in):
-    """Clairvoyant MVDR: true covariance and true steering vector per lane.
-
-    sl is a block of scenarios and c_in holds its interference-plus-noise
-    covariances.
-    """
-    return mvdr_lanes(hermitian_evd(true_covariance_lanes(sl, c_in)), sl.a_true)
+def optimal_lanes(c_in, a_true):
+    """Clairvoyant MVDR from each lane's interference-plus-noise covariance
+    and true steering vector: by Sherman-Morrison, (c_in + p a a^H)^{-1} a is
+    c_in^{-1} a / (1 + p a^H c_in^{-1} a), so the weights, the true
+    covariance's, do not depend on the SOI power p."""
+    return mvdr_lanes(hermitian_evd(c_in), a_true)
 
 
 def mode_powers(es, r):
@@ -138,16 +140,20 @@ def quasi_lanes(es, observations, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     lam = es.eigenvalues
     lanes, n = lam.shape
     # a lane without a positive eigenvalue, or whose grid would start at
-    # zero (lo_factor * top underflows), gets a harmless scale, so that the
-    # grids of the others are built; it is flagged below
+    # zero (lo_factor * top underflows) or end at infinity (hi_factor * top
+    # overflows), gets a harmless scale, so that the grids of the others are
+    # built; it is flagged below
     flat, low = ~(lam[:, 0] > 0), ~(lo_factor * lam[:, 0] > 0)
-    top = np.where(low, 1.0, lam[:, 0])
+    with np.errstate(over="ignore"):
+        high = ~(hi_factor * lam[:, 0] < np.inf)
+    top = np.where(low | high, 1.0, lam[:, 0])
     errors = []
     for _, zero in observations:
         errs = flag_lanes(es.errors.tolist(), zero, lambda i: ValueError("observation is zero"))
-        errors.append(flag_lanes(errs, low, lambda i: ValueError(
+        errors.append(flag_lanes(errs, low | high, lambda i: ValueError(
             "cannot select gamma for an all-zero spectrum" if flat[i] else
-            "quasi grid starts at zero: lo_factor * %g underflows" % lam[i, 0])))
+            "quasi grid starts at zero: lo_factor * %g underflows" % lam[i, 0] if low[i] else
+            "quasi grid ends at infinity: hi_factor * %g overflows" % lam[i, 0])))
     # one grid for the stack; the (lanes, n, n_grid) filter grid runs in
     # chunks of lanes. Each lane's grid and sums are its own, so a chunk's
     # bits are the whole stack's
@@ -194,7 +200,7 @@ def copra_weights(es, gamma_b, gamma_z, a):
 def optimal_weights(scenario):
     """Clairvoyant MVDR: true covariance and true steering vector."""
     sl = scenario[None]
-    w = one_lane(*optimal_lanes(sl, interference_noise_lanes(sl)))
+    w = one_lane(*optimal_lanes(interference_noise_lanes(sl), sl.a_true))
     return BeamformerWeights(w=w, method="optimal")
 
 

@@ -30,11 +30,12 @@ def _check_types(obj, prefix=""):
                                 "an integer" if f.type is int else "a number", value))
 
 
-# the largest |level| in dB an snr_db, inr_db or snr_db_grid entry may set:
-# from about 110 dB on, the true covariance's eigenvalue ratio falls below
-# the 1e-12 at which MVDR calls a covariance singular, so the clairvoyant
-# and diagonal-loading methods fail on every trial, and far beyond it the
-# covariances overflow or the SINR underflows to 0
+# the largest |level| in dB an snr_db, inr_db or snr_db_grid entry may set.
+# Beyond it covariances reach the eigenvalue ratio 1e-12 at which MVDR calls
+# them singular, and a method fails on every trial: the clairvoyant one from
+# about 110 dB of INR (it decomposes only the interference-plus-noise
+# covariance, so no SNR fails it), diagonal loading from about 120 dB of
+# either level; far beyond, the covariances overflow or the SINR underflows
 LEVEL_DB_BOUND = 100.0
 
 # the most float64 values one array of a run may hold (1 GiB): a config whose

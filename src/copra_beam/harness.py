@@ -5,15 +5,16 @@ index) via numpy's SeedSequence, and trials run in blocks as the lanes of
 one array program whose lanes do not see each other, so aggregate results
 are bit-identical regardless of execution order, block split, point set or
 worker count. A sweep's unit of work is one block of trials over every
-distinct point, of either sweep kind. Per trial run its generator and
-draws, once per sweep; per block the steering vectors and the
-interference-plus-noise covariances, and per block and SNR the clairvoyant
-weights. Per point run the stages that depend on its snapshot count: the
-snapshots, summed at its SOI power from a prefix of the draws, and their
-sample covariances; then the snapshots are dropped. One eigendecomposition
-of the stack of every point's sample covariances serves every method, the
-split, both secular solves, the quasi selector, every method's weights and
-the SINR then run once per block over that stack, into per-lane columns.
+distinct point, of either sweep kind; a point is its SOI power and
+snapshot count. Per trial run its generator and draws, once per sweep; per
+block the steering vectors, the interference-plus-noise covariances and,
+from them, the clairvoyant weights, which do not depend on the SOI power.
+Per point run the stages that depend on it: the snapshots, summed at its
+SOI power from a prefix of the draws, and their sample covariances; then
+the snapshots are dropped. One eigendecomposition of the stack of every
+point's sample covariances serves every method, the split, both secular
+solves, the quasi selector, every method's weights and the SINR then run
+once per block over that stack, into per-lane columns.
 run_trials, the one-point case, alone makes TrialRecords of them. All
 methods see the same scenario and noise realizations, within a point and
 across points (paired comparison).
@@ -88,16 +89,18 @@ class SweepResult:
 def _sinr_lanes(w, c_in, a_true, soi_power):
     """Output SINR of (lanes, methods, n) weights, against each lane's truth.
 
-    The lanes are points x block, point-major, and c_in holds the block's
-    interference-plus-noise covariances, which every point shares. Every
+    The lanes are points x block, point-major: c_in and a_true hold the
+    block's interference-plus-noise covariances and true steering vectors,
+    which every point shares, and soi_power each lane's SOI power. Every
     (lane, method) row takes its own dot products, so it gets the bits of a
     single weight vector's SINR; an all-zero row gives nan.
     """
-    wh = w.conj()[:, :, None, :]
-    num = soi_power[:, None] * np.abs((wh @ a_true[:, None, :, None])[..., 0, 0]) ** 2
     # (points, block, methods, n), sized from c_in, not -1: with no methods w is empty
     w = w.reshape(len(w) // len(c_in), len(c_in), *w.shape[1:])
-    den = np.real(w.conj()[..., None, :] @ c_in[:, None] @ w[..., None]).reshape(num.shape)
+    wh = w.conj()[..., None, :]
+    num = np.abs((wh @ a_true[:, None, :, None])[..., 0, 0]) ** 2
+    num = soi_power[:, None] * num.reshape(len(soi_power), -1)
+    den = np.real(wh @ c_in[:, None] @ w[..., None]).reshape(num.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         return num / den
 
@@ -137,9 +140,9 @@ def _run_points(point_cfgs, indices, master_seed):
 
     The point configs differ at most in snr_db and n_snapshots. Each trial
     is drawn once, for the largest snapshot count; the steering vectors and
-    interference-plus-noise covariances are built once, and the clairvoyant
-    weights once per SNR. The distinct points run as one stack through one
-    _run_block, and a repeated point gets its first occurrence's columns: a
+    interference-plus-noise covariances are built once. The distinct
+    (snr_db, n_snapshots) points run as one stack through one _run_block,
+    and a repeated point gets its first occurrence's columns: a
     point's columns are those run_trials gives for it alone. Every kernel,
     the eigensolver too, reports its failures per lane, so a lane that
     fails fails in its own row only.
@@ -148,16 +151,7 @@ def _run_points(point_cfgs, indices, master_seed):
     sl, z = _draw_block(cfg, indices, master_seed, max(c.n_snapshots for c in point_cfgs))
     c_in = arraysim.interference_noise_lanes(sl)
     keys = list(dict.fromkeys((c.snr_db, c.n_snapshots) for c in point_cfgs))
-    blocks = {snr_db: sl.at_snr(snr_db) for snr_db, _ in keys}
-    points = [(blocks[snr_db], n_s) for snr_db, n_s in keys]
-
-    def optimal():
-        # built once per SNR, handed to every point at that SNR
-        built = {snr_db: beamformers.optimal_lanes(psl, c_in) for snr_db, psl in blocks.items()}
-        return (_stack([built[snr_db][0] for snr_db, _ in keys]),
-                [e for snr_db, _ in keys for e in built[snr_db][1]])
-
-    columns = _run_block(cfg, points, z, c_in, optimal)
+    columns = _run_block(cfg, sl, keys, z, c_in)
     lanes = len(indices)
     by_point = {key: {name: col[j * lanes:(j + 1) * lanes] for name, col in columns.items()}
                 for j, key in enumerate(keys)}
@@ -220,32 +214,30 @@ def _stack(parts):
         return first
     if isinstance(first, list):
         return [x for part in parts for x in part]
-    return (arraysim.Scenario.concat(parts) if isinstance(first, arraysim.Scenario)
-            else np.concatenate(parts))
+    return np.concatenate(parts)
 
 
-def _run_block(cfg, points, z, c_in, optimal):
+def _run_block(cfg, sl, points, z, c_in):
     """The columns of a block of drawn trials at some points, point-major.
 
-    points holds (Scenario of the block at the point's SOI power, n_s) pairs,
-    z the block's draws and c_in its interference-plus-noise covariances,
-    shared by every point. Each point's snapshot stage runs on its own
-    (_observe), every later stage once over the stack of every point's
-    lanes, from one eigendecomposition of its sample covariances, which
-    flags a failed lane in es.errors. optimal returns the clairvoyant
-    (weights, errors). Returns a dict of per-lane columns: (lanes, methods)
-    sinr, NaN where a method failed, failures, each message or None, and
-    fallback (copra on either side, sample MVDR loaded); copra's n1 (0 where
-    it did not split), gamma_b, gamma_z, fallback_b and fallback_z; and
-    mvdr_loaded."""
+    sl is the block's Scenario, points holds (snr_db, n_s) pairs, z the
+    block's draws and c_in its interference-plus-noise covariances; a point
+    differs from the block only in its SOI power and snapshot count. Each
+    point's snapshot stage runs on its own (_observe), every later stage
+    once over the stack of every point's lanes, from one eigendecomposition
+    of its sample covariances, which flags a failed lane in es.errors. The
+    clairvoyant weights, built once from c_in, serve every point. Returns a
+    dict of per-lane columns: (lanes, methods) sinr, NaN where a method
+    failed, failures, each message or None, and fallback (copra on either
+    side, sample MVDR loaded); copra's n1 (0 where it did not split),
+    gamma_b, gamma_z, fallback_b and fallback_z; and mvdr_loaded."""
     lanes = len(c_in) * len(points)
     # each point's own parts are dropped once stacked
     cov, y_zero, snapshots = (_stack(parts) for parts in zip(
-        *[_observe(cfg, psl, z, n_s) for psl, n_s in points]))
+        *[_observe(cfg, sl.at_snr(snr_db), z, n_s) for snr_db, n_s in points]))
     es = hermitian_evd(cov)
     snapshot_weights = snapshots and secular.per_snapshot_weights(es, snapshots)
-    sl = _stack([psl for psl, _ in points])
-    a = sl.a_presumed
+    a = np.tile(sl.a_presumed, (len(points), 1))
 
     weights = np.zeros((lanes, len(cfg.methods), a.shape[1]), dtype=complex)
     failures = np.full((lanes, len(cfg.methods)), None, dtype=object)
@@ -268,7 +260,7 @@ def _run_block(cfg, points, z, c_in, optimal):
                     errors[i] = e
             fallback[:, m] = mvdr_loaded
         elif method == "diagonal-loading":
-            loading = cfg.diagonal_loading * sl.noise_power
+            loading = cfg.diagonal_loading * np.tile(sl.noise_power, len(points))
             w, errors = beamformers.loaded_mvdr_lanes(es, a, loading)
         elif method == "copra":
             w = np.zeros_like(a)
@@ -298,11 +290,13 @@ def _run_block(cfg, points, z, c_in, optimal):
             w, errors = beamformers.copra_lanes(es, gb, gz, a)
             errors = [eb or ez or e for eb, ez, e in zip(errors_b, errors_z, errors)]
         else:  # "optimal"; the config refuses any other method
-            w, errors = optimal()
+            w, errors = beamformers.optimal_lanes(c_in, sl.a_true)
+            w, errors = np.tile(w, (len(points), 1)), errors * len(points)
         weights[:, m] = w
         failures[:, m] = [None if e is None else str(e) for e in errors]
 
-    sinr = _sinr_lanes(weights, c_in, sl.a_true, sl.soi_power)
+    soi_power = np.concatenate([sl.at_snr(snr_db).soi_power for snr_db, _ in points])
+    sinr = _sinr_lanes(weights, c_in, sl.a_true, soi_power)
     # a method's own error first, then a zero weight vector, then a SINR
     # that is not finite
     ok = np.equal(failures, None)

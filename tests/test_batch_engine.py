@@ -141,19 +141,29 @@ def test_zeroed_lane_fails_alone(monkeypatch):
     _neighbours_unchanged(records)
 
 
-def test_eigensolver_failure_fails_only_its_lane(monkeypatch):
-    # one lane's true covariance does not converge, which fails the stacked
-    # eigh as a whole; the eigensolver retries it matrix by matrix
-    sl, _ = harness._draw_block(NEIGHBOURS, [BAD], SEED, NEIGHBOURS.n_snapshots)
-    target = arraysim.true_covariance_lanes(sl, arraysim.interference_noise_lanes(sl))[0]
-    real = np.linalg.eigh
+def _eigh_failing_lane(target):
+    """np.linalg.eigh, failing lane BAD of a stack when it holds target: the
+    stacked call fails as a whole, and the eigensolver's retry of that lane
+    alone fails again. Without interferers every lane's interference-plus-
+    noise covariance is the same matrix, so the lane is told by its place."""
+    real, failed = np.linalg.eigh, []
 
     def eigh(a):
-        if any(np.array_equal(m, target) for m in a.reshape(-1, *target.shape)):
+        if a.ndim == 3 and len(a) > BAD and np.array_equal(a[BAD], target):
+            failed.append(a[BAD])
+        if any(np.shares_memory(a, m) for m in failed):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real(a)
+    return eigh
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+def test_eigensolver_failure_fails_only_its_lane(monkeypatch):
+    # one lane's interference-plus-noise covariance, which the clairvoyant
+    # weights decompose, does not converge, which fails the stacked eigh as
+    # a whole; the eigensolver retries it matrix by matrix
+    sl, _ = harness._draw_block(NEIGHBOURS, [BAD], SEED, NEIGHBOURS.n_snapshots)
+    monkeypatch.setattr(np.linalg, "eigh",
+                        _eigh_failing_lane(arraysim.interference_noise_lanes(sl)[0]))
     records = run_trials(NEIGHBOURS, INDICES, SEED)
     monkeypatch.undo()
     bad = records[BAD]
@@ -273,11 +283,13 @@ def _stacked_run(monkeypatch, failed):
 
 
 def test_eigensolver_failure_in_a_stacked_point_fails_only_its_lane(monkeypatch):
-    # the true covariance of one trial at one SNR does not converge: the
-    # eigensolver flags that lane alone
+    # the sample covariance of one trial at one SNR does not converge: the
+    # eigensolver flags that lane alone, and it fails the methods that read
+    # the sample eigensystem
     cfg = dataclasses.replace(STACKED, snr_db=STACKED.snr_db_grid[POINT])
-    sl, _ = harness._draw_block(cfg, [BAD], SEED, cfg.n_snapshots)
-    target = arraysim.true_covariance_lanes(sl, arraysim.interference_noise_lanes(sl))[0]
+    sl, z = harness._draw_block(cfg, [BAD], SEED, cfg.n_snapshots)
+    target = arraysim.sample_covariance(
+        arraysim.SnapshotSet(arraysim.synthesize_block(sl, z, cfg.n_snapshots)))[0]
     real = np.linalg.eigh
 
     def eigh(a):
@@ -286,8 +298,38 @@ def test_eigensolver_failure_in_a_stacked_point_fails_only_its_lane(monkeypatch)
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    bad = _stacked_run(monkeypatch, ["optimal"])
-    assert bad.failures == {"optimal": "Eigenvalues did not converge"}
+    failed = ["sample-mvdr", "diagonal-loading", "copra", "quasi-rls"]
+    bad = _stacked_run(monkeypatch, failed)
+    assert bad.failures == {m: "Eigenvalues did not converge" for m in failed}
+
+
+def test_clairvoyant_eigensolver_failure_fails_its_trial_at_every_snr(monkeypatch):
+    # one trial's interference-plus-noise covariance does not converge: its
+    # clairvoyant weights, built once per block, fail at every point of the
+    # SNR stack, and every other (point, lane, method) is the unpatched
+    # per-point run's
+    sl, _ = harness._draw_block(STACKED, [BAD], SEED, STACKED.n_snapshots)
+    monkeypatch.setattr(np.linalg, "eigh",
+                        _eigh_failing_lane(arraysim.interference_noise_lanes(sl)[0]))
+    point_cfgs = [dataclasses.replace(STACKED, snr_db=v) for v in STACKED.snr_db_grid]
+    _, columns = harness._run_points(point_cfgs, INDICES, SEED)
+    rows = harness.run_sweep(STACKED, "snr", SEED).rows
+    assert repr(rows) == repr(_per_point_rows(STACKED, "snr"))
+    monkeypatch.undo()
+    per_lane = ("gamma_b", "gamma_z", "fallback_b", "fallback_z", "mvdr_loaded")
+    for cfg, patched in zip(point_cfgs, columns):
+        for i, rec in zip(INDICES, run_trials(cfg, INDICES, SEED)):
+            got = _lane_record(patched, STACKED.methods, i)
+            failures, sinr = dict(rec.failures), dict(rec.sinr)
+            if i == BAD:
+                assert not failures
+                failures["optimal"], sinr["optimal"] = "Eigenvalues did not converge", None
+            assert (got.failures, _bits(got.sinr)) == (failures, _bits(sinr)), (cfg.snr_db, i)
+            assert _bits([patched[k][i] for k in per_lane]) == _bits(
+                [getattr(rec, k) for k in per_lane]), (cfg.snr_db, i)
+            assert patched["n1"][i] == (rec.n1 or 0), (cfg.snr_db, i)
+    for row, want in zip(rows, _per_point_rows(STACKED, "snr")):
+        assert row.trials == want.trials - (row.method == "optimal"), row
 
 
 def test_zeroed_lane_in_a_stacked_point_fails_alone(monkeypatch):
@@ -464,9 +506,10 @@ def test_each_point_drops_its_snapshots_before_the_next(monkeypatch):
 @pytest.mark.parametrize("cfg, kind", [(STACKED, "snr"), (STACKED_SNAPSHOTS, "snapshots")])
 def test_one_sample_decomposition_per_block(monkeypatch, cfg, kind):
     # a block of either sweep kind decomposes its sample covariances in one
-    # call, and its true covariances once per SNR; every method reads those
-    # eigensystems, so no call sees a loaded covariance
-    made = {"sample": set(), "true": set()}
+    # call and its interference-plus-noise covariances, for the clairvoyant
+    # weights, in another; every method reads those eigensystems, so no call
+    # sees a loaded covariance
+    made = {"sample": set(), "interference": set()}
     calls = []
 
     def keep(name, real):
@@ -483,8 +526,8 @@ def test_one_sample_decomposition_per_block(monkeypatch, cfg, kind):
         return spy
 
     monkeypatch.setattr(arraysim, "sample_covariance", keep("sample", arraysim.sample_covariance))
-    monkeypatch.setattr(beamformers, "true_covariance_lanes",
-                        keep("true", beamformers.true_covariance_lanes))
+    monkeypatch.setattr(arraysim, "interference_noise_lanes",
+                        keep("interference", arraysim.interference_noise_lanes))
     for module in (harness, beamformers):
         monkeypatch.setattr(module, "hermitian_evd", evd(module.hermitian_evd))
     assert cfg.trials <= harness.BLOCK
@@ -492,5 +535,5 @@ def test_one_sample_decomposition_per_block(monkeypatch, cfg, kind):
     sample = [c for c in calls if set(c) <= made["sample"]]
     assert len(sample) == 1 and len(sample[0]) == len(getattr(
         cfg, "snr_db_grid" if kind == "snr" else "snapshot_grid")) * cfg.trials
-    assert all(set(c) <= made["sample"] | made["true"] for c in calls)
-    assert len(calls) == 1 + (len(cfg.snr_db_grid) if kind == "snr" else 1)
+    assert all(set(c) <= made["sample"] | made["interference"] for c in calls)
+    assert len(calls) == 2

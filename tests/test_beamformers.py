@@ -14,6 +14,7 @@ from conftest import (
 from copra_beam.arraysim import (
     ArrayGeometry,
     draw_scenario,
+    interference_noise_covariance,
     sample_covariance,
     steering_vector,
     synthesize_snapshots,
@@ -27,6 +28,7 @@ from copra_beam.beamformers import (
     optimal_weights,
     quasi_optimal_gamma,
 )
+from copra_beam.config import LEVEL_DB_BOUND
 from copra_beam.harness import output_sinr
 from copra_beam.linalg import HermitianEigensystem, hermitian_evd
 
@@ -176,6 +178,19 @@ class TestCopraWeights:
         with pytest.raises(ValueError):
             copra_weights(es, -0.1, 0.5, np.ones(2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_level_overflowing_the_filter_rejected(self):
+        # (lambda + 1e200)^2 overflows: the filter would read 0 on every mode
+        # and the steering vector look orthogonal to all of them
+        es = _diag_es([2.0, 1.0])
+        with pytest.raises(ValueError, match=r"^regularization level 1e\+200 overflows the filter$"):
+            copra_weights(es, 1e200, 0.5, np.ones(2))
+        # so does (lambda + gamma_b)(lambda + gamma_z)
+        with pytest.raises(ValueError, match=r"level 1e\+300 overflows"):
+            copra_weights(es, 1e10, 1e300, np.ones(2))
+        for gamma_b, gamma_z in ((1e150, 0.5), (0.5, 1e300)):
+            assert np.all(np.isfinite(copra_weights(es, gamma_b, gamma_z, np.ones(2)).w))
+
 
 class TestOptimal:
     def test_no_interferers_sinr(self):
@@ -204,6 +219,27 @@ class TestOptimal:
     def test_deterministic(self):
         sc = draw_scenario(np.random.default_rng(12))
         assert np.array_equal(optimal_weights(sc).w, optimal_weights(sc).w)
+
+    def test_closed_form(self):
+        # R = C_in + p a a^H, and by Sherman-Morrison R^{-1} a is parallel to
+        # C_in^{-1} a: the weights do not depend on p, and the SINR is
+        # p a^H C_in^{-1} a. Decomposing R itself loses digits as p a^H a
+        # outgrows the noise floor (5e-5 relative at 100 dB), so that route
+        # is held to 1e-9 up to 40 dB only
+        for seed in range(8):
+            sc = draw_scenario(np.random.default_rng(seed), n_interferers=seed % 4)
+            a = sc.a_true
+            c_in_inv_a = np.linalg.solve(interference_noise_covariance(sc), a)
+            w = optimal_weights(sc).w
+            for snr_db in (-LEVEL_DB_BOUND, -10.0, 0.0, 20.0, 40.0, LEVEL_DB_BOUND):
+                at = sc.at_snr(snr_db)
+                assert np.array_equal(optimal_weights(at).w, w), (seed, snr_db)
+                p = at.soi_power[()]
+                assert output_sinr(w, at) == pytest.approx(
+                    p * np.real(a.conj() @ c_in_inv_a), rel=1e-12), (seed, snr_db)
+                if snr_db <= 40.0:
+                    w_r = mvdr_weights(true_covariance(at), a).w
+                    assert np.linalg.norm(w_r - w) <= 1e-9 * np.linalg.norm(w), (seed, snr_db)
 
 
 class TestEstimators:

@@ -13,30 +13,38 @@ moves.
 
 The snapshot sweep includes 5 and 10 snapshots on 10 elements, where the
 sample covariance is rank-deficient: sample MVDR takes its loaded path and the
-quasi selector sees zero eigenvalues.
+quasi selector sees zero eigenvalues. One more point pins failures: on 2
+elements with 1 snapshot at -100 dB, a quasi grid whose lower end
+underflows fails one trial, and a SINR that is not finite eight more.
 
 A change that moves the numbers on purpose regenerates the files with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and says why in CHANGES.md.
+Before it writes, the script prints, per field and method of the records,
+how many pinned values moved and the largest relative SINR change, and,
+per golden file, whether its bytes changed.
 """
 
-import dataclasses
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import REFERENCE_SWEEPS, reference_sweep
 from copra_beam.cli import main as cli_main
-from copra_beam.config import ExperimentConfig
+from copra_beam.config import config_from_dict
 from copra_beam.harness import run_trial
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = 7
 TRIALS = 16
-SNR_POINTS = (-10.0, 10.0, 30.0)
-SNAPSHOT_POINTS = (5, 10)
+POINTS = ([{"snr_db": v} for v in (-10.0, 10.0, 30.0)]
+          + [{"n_snapshots": v} for v in (5, 10)]
+          # the config fuzz's example of a quasi grid that starts at zero
+          + [{"n_elements": 2, "n_snapshots": 1, "n_interferers": 0, "snr_db": -100.0,
+              "quasi_grid": {"lo_factor": 5e-324}}])
 SWEEP_CONFIG = {"trials": 4, "snapshot_grid": [5, 10, 30], "seed": SEED}
 SWEEP_FILES = ("sweep.csv", "meta.json")
 
@@ -62,16 +70,39 @@ def _record(rec):
 
 
 def trial_records():
-    """Every trial of the pinned SNR and snapshot sweeps, keyed by point."""
-    base = ExperimentConfig(trials=TRIALS, seed=SEED)
-    points = [("snr_db", v) for v in SNR_POINTS]
-    points += [("n_snapshots", v) for v in SNAPSHOT_POINTS]
+    """Every trial of the pinned points, keyed by the fields each sets."""
     out = {}
-    for name, value in points:
-        cfg = dataclasses.replace(base, **{name: value})
-        out["%s=%r" % (name, value)] = [
+    for fields in POINTS:
+        cfg = config_from_dict(dict(fields, trials=TRIALS, seed=SEED))
+        out[",".join("%s=%r" % item for item in fields.items())] = [
             _record(run_trial(cfg, i, SEED)) for i in range(TRIALS)]
     return out
+
+
+def report_moves(old, new):
+    """Print, per field and method, how many of old's pinned record values
+    new moves and the largest relative change of a moved SINR, and every
+    point only one of them has."""
+    moved, pinned, worst = Counter(), Counter(), {}
+    for point in sorted(old.keys() | new.keys()):
+        if point not in old or point not in new:
+            print("trials.json: point %s %s" % (point, "added" if point in new else "dropped"))
+            continue
+        for was, now in zip(old[point], new[point]):
+            for field in sorted(was.keys() | now.keys()):
+                x, y = was.get(field), now.get(field)
+                for key, a, b in ([("%s[%s]" % (field, m), x.get(m), y.get(m))
+                                   for m in sorted(x.keys() | y.keys())]
+                                  if isinstance(x, dict) else [(field, x, y)]):
+                    pinned[key] += 1
+                    if a != b:
+                        moved[key] += 1
+                        if field == "sinr" and None not in (a, b):
+                            worst[key] = max(worst.get(key, 0.0), abs(float(b) / float(a) - 1))
+    for key in sorted(pinned):
+        print("trials.json: %s moved in %d of %d records%s" % (
+            key, moved[key], pinned[key],
+            ", largest relative change %.2g" % worst[key] if key in worst else ""))
 
 
 def sweep_outputs(workdir):
@@ -104,18 +135,24 @@ def test_reference_sweep_outputs_match_golden(reference_sweeps, kind):
 
 
 def main():
-    GOLDEN.mkdir(exist_ok=True)
-    text = json.dumps(trial_records(), indent=1, sort_keys=True) + "\n"
-    (GOLDEN / "trials.json").write_text(text)
+    """Regenerate every golden file, after reporting what moves."""
+    records, trials = trial_records(), GOLDEN / "trials.json"
+    if trials.exists():
+        report_moves(json.loads(trials.read_text()), records)
+    files = {Path("trials.json"): (json.dumps(records, indent=1, sort_keys=True) + "\n").encode()}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in sweep_outputs(tmp).items():
-            (GOLDEN / name).write_bytes(data)
+        files.update((Path(name), data) for name, data in sweep_outputs(tmp).items())
         for kind in REFERENCE_SWEEPS:
-            out, work = GOLDEN / ("reference-" + kind), Path(tmp) / kind
-            out.mkdir(exist_ok=True)
+            work = Path(tmp) / kind
             work.mkdir()
-            for name, data in reference_sweep(kind, work)[2].items():
-                (out / name).write_bytes(data)
+            files.update((Path("reference-" + kind, name), data)
+                         for name, data in reference_sweep(kind, work)[2].items())
+    for name, data in files.items():
+        path = GOLDEN / name
+        print("%s: bytes %s" % (name, "unchanged" if path.exists() and path.read_bytes() == data
+                                else "changed"))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
     return 0
 
 

@@ -9,6 +9,7 @@ against the snapshots' own.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,6 +156,21 @@ def test_quasi_grid_starting_at_zero_fails_only_its_lane():
     assert errors[0] is None and "underflows" in str(errors[1])
     lane = es[0:1]
     (gamma_1, _), = quasi_lanes(lane, [mode_powers(lane, r[:1])], lo_factor=5e-324)
+    assert float(gamma[0]).hex() == float(gamma_1[0]).hex()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quasi_grid_ending_at_infinity_fails_only_its_lane():
+    # 1e300 times lane 1's top eigenvalue 1e10 overflows, where no geometric
+    # grid can end; lane 0's grid ends at 1e300 * 2
+    es = HermitianEigensystem(np.stack([np.eye(2, dtype=complex)] * 2),
+                              np.array([[2.0, 1.0], [1e10, 0.1]]))
+    r = np.ones((2, 2), dtype=complex)
+    (gamma, errors), = quasi_lanes(es, [mode_powers(es, r)], hi_factor=1e300)
+    assert errors[0] is None
+    assert str(errors[1]) == "quasi grid ends at infinity: hi_factor * 1e+10 overflows"
+    lane = es[0:1]
+    (gamma_1, _), = quasi_lanes(lane, [mode_powers(lane, r[:1])], hi_factor=1e300)
     assert float(gamma[0]).hex() == float(gamma_1[0]).hex()
 
 
