@@ -100,10 +100,12 @@ def copra_lanes(es, gamma_b, gamma_z, a):
         flag_lanes(errors, ~(np.isfinite(lbz) & np.isfinite(lb_sq)).all(axis=-1),
                    lambda i: ValueError("regularization level %g overflows the filter"
                                         % max(gamma_b[i], gamma_z[i])))
-        denom = np.sum(lam / lb_sq * np.abs(d) ** 2, axis=-1)
+        # a zero mode adds its limit 0 to both filters, also where gamma^2 underflows
+        f_b, f_bz = (np.divide(lam, x, out=np.zeros_like(lam), where=lam > 0) for x in (lb_sq, lbz))
+        denom = np.sum(f_b * np.abs(d) ** 2, axis=-1)
         flag_lanes(errors, denom == 0.0, lambda i: ValueError(
             "steering vector orthogonal to all retained modes"))
-        w = lanes_matmul(es.u, lam / lbz * d) / denom[:, None]
+        w = lanes_matmul(es.u, f_bz * d) / denom[:, None]
     return w, errors
 
 

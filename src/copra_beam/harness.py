@@ -5,22 +5,22 @@ index) via numpy's SeedSequence, and trials run in blocks as the lanes of
 one array program whose lanes do not see each other, so aggregate results
 are bit-identical regardless of execution order, block split, point set or
 worker count. A sweep's unit of work is one block of trials over every
-distinct point, of either sweep kind; a point is its SOI power and
-snapshot count. Per trial run its generator and draws, once per sweep; per
-block the steering vectors, the interference-plus-noise covariances and,
-from them, the clairvoyant weights, which do not depend on the SOI power.
-Per point run the stages that depend on it: the snapshots, summed at its
-SOI power from a prefix of the draws, and their sample covariances; then
-the snapshots are dropped. One eigendecomposition of the stack of every
-point's sample covariances serves every method, the split, both secular
-solves, the quasi selector, every method's weights and the SINR then run
-once per block over that stack, into per-lane columns.
+distinct point, of either sweep kind, and one function, _run_points, runs
+it from the sweep's config and its (snr_db, n_snapshots) points. Per trial
+run its generator and draws, once per sweep; per block the steering
+vectors, the interference-plus-noise covariances and, from them, the
+clairvoyant weights, which do not depend on the SOI power. Per point run
+the snapshots, summed at its SOI power from a prefix of the draws, and
+their sample covariances; then the snapshots are dropped. One
+eigendecomposition of the stack of every point's sample covariances serves
+every method: the split, both secular solves, the quasi selector, every
+method's weights and the SINR run once per block over that stack, into
+per-lane columns.
 run_trials, the one-point case, alone makes TrialRecords of them. All
 methods see the same scenario and noise realizations, within a point and
 across points (paired comparison).
 """
 
-import dataclasses
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -134,111 +134,45 @@ def _draw_block(cfg, indices, master_seed, n_s):
         soi_error_bound_deg=cfg.soi_error_bound_deg, doa_guard_deg=cfg.doa_guard_deg)
 
 
-def _run_points(point_cfgs, indices, master_seed):
-    """(the block's Scenario, each point's _run_block columns) of one block
-    of trials at every point of a sweep.
+def _run_points(cfg, points, indices, master_seed):
+    """(the block's Scenario, each point's columns) of one block of trials
+    at the given (snr_db, n_snapshots) points of cfg.
 
-    The point configs differ at most in snr_db and n_snapshots. Each trial
-    is drawn once, for the largest snapshot count; the steering vectors and
-    interference-plus-noise covariances are built once. The distinct
-    (snr_db, n_snapshots) points run as one stack through one _run_block,
-    and a repeated point gets its first occurrence's columns: a
-    point's columns are those run_trials gives for it alone. Every kernel,
-    the eigensolver too, reports its failures per lane, so a lane that
-    fails fails in its own row only.
+    Each trial is drawn once, for the largest snapshot count; the steering
+    vectors, the interference-plus-noise covariances c_in and, from them,
+    the clairvoyant weights are built once. Each distinct point synthesizes
+    its snapshots on its own, keeps their sample covariances and whether
+    each lane's are zero, and drops them before the next point's are made
+    (the per-snapshot-median policy keeps them). Every later stage runs once
+    over the stack of every distinct point's lanes, point-major, from one
+    eigendecomposition of its sample covariances, which flags a failed lane
+    in es.errors; a repeated point gets its first occurrence's columns, so
+    a point's columns are those it gets alone. Every kernel reports its
+    failures per lane, so a lane that fails fails in its own row only. A
+    point's columns are a dict of per-lane arrays: (lanes, methods) sinr,
+    NaN where a method failed, failures, each message or None, and fallback
+    (copra on either side, sample MVDR loaded); copra's n1 (0 where it did
+    not split), gamma_b, gamma_z, fallback_b and fallback_z; and
+    mvdr_loaded.
     """
-    cfg = point_cfgs[0]
-    sl, z = _draw_block(cfg, indices, master_seed, max(c.n_snapshots for c in point_cfgs))
+    keys = list(dict.fromkeys(points))
+    sl, z = _draw_block(cfg, indices, master_seed, max(n_s for _, n_s in keys))
     c_in = arraysim.interference_noise_lanes(sl)
-    keys = list(dict.fromkeys((c.snr_db, c.n_snapshots) for c in point_cfgs))
-    columns = _run_block(cfg, sl, keys, z, c_in)
-    lanes = len(indices)
-    by_point = {key: {name: col[j * lanes:(j + 1) * lanes] for name, col in columns.items()}
-                for j, key in enumerate(keys)}
-    return sl, [by_point[c.snr_db, c.n_snapshots] for c in point_cfgs]
-
-
-def run_trials(cfg, indices, master_seed):
-    """Run the Monte-Carlo trials of the given indices, in that order.
-
-    The one-point case of a sweep: the trials run in blocks of BLOCK lanes,
-    each drawn from its own substream, and only here do a block's columns
-    become records. A trial's record does not depend on the other trials of
-    its block, so it is the same for any index set, order or block split.
-    Per-method failures, the eigensolver's among them, are recorded per lane
-    as missing values; nothing raises, so long sweeps always complete.
-    """
-    indices = [int(i) for i in indices]
-    records = []
-    for start in range(0, len(indices), BLOCK):
-        block = indices[start:start + BLOCK]
-        sl, (columns,) = _run_points([cfg], block, master_seed)
-        sinr, failures, n1, gamma_b, gamma_z, fallback_b, fallback_z, loaded = (
-            columns[name].tolist() for name in ("sinr", "failures", "n1", "gamma_b", "gamma_z",
-                                                "fallback_b", "fallback_z", "mvdr_loaded"))
-        soi_doa, soi_error = sl.soi_doa_deg.tolist(), sl.soi_error_deg.tolist()
-        interferer_doas = sl.interferer_doas_deg.tolist()
-        for i, index in enumerate(block):
-            failed = {m: f for m, f in zip(cfg.methods, failures[i]) if f is not None}
-            records.append(TrialRecord(
-                trial_index=index, failures=failed,
-                sinr={m: None if m in failed else v for m, v in zip(cfg.methods, sinr[i])},
-                n1=n1[i] or None, n2=cfg.n_elements - n1[i] if n1[i] else None,
-                gamma_b=gamma_b[i], gamma_z=gamma_z[i], fallback_b=fallback_b[i],
-                fallback_z=fallback_z[i], mvdr_loaded=loaded[i], soi_doa_deg=soi_doa[i],
-                soi_error_deg=soi_error[i], interferer_doas_deg=tuple(interferer_doas[i])))
-    return records
-
-
-def run_trial(cfg, trial_index, master_seed):
-    """Run one Monte-Carlo trial: the one-lane case of run_trials."""
-    return run_trials(cfg, [trial_index], master_seed)[0]
-
-
-def _observe(cfg, sl, z, n_s):
-    """A point's stage that depends on its snapshot count: synthesizes its
-    snapshots from the draws z and returns their sample covariances, whether
-    each lane's are zero and, for the per-snapshot-median policy only, the
-    snapshots themselves as a list of lanes; otherwise None, and they are
-    dropped before the next point's are made."""
-    y = arraysim.synthesize_block(sl, z, n_s)
     keep = "copra" in cfg.methods and cfg.gamma_z_policy == "per-snapshot-median"
-    return (arraysim.sample_covariance(arraysim.SnapshotSet(y)),
-            ~y.reshape(len(y), -1).any(axis=-1), list(y) if keep else None)
-
-
-def _stack(parts):
-    """The points' parts as one lane stack, point-major; one part as it is."""
-    first = parts[0]
-    if len(parts) == 1 or first is None:
-        return first
-    if isinstance(first, list):
-        return [x for part in parts for x in part]
-    return np.concatenate(parts)
-
-
-def _run_block(cfg, sl, points, z, c_in):
-    """The columns of a block of drawn trials at some points, point-major.
-
-    sl is the block's Scenario, points holds (snr_db, n_s) pairs, z the
-    block's draws and c_in its interference-plus-noise covariances; a point
-    differs from the block only in its SOI power and snapshot count. Each
-    point's snapshot stage runs on its own (_observe), every later stage
-    once over the stack of every point's lanes, from one eigendecomposition
-    of its sample covariances, which flags a failed lane in es.errors. The
-    clairvoyant weights, built once from c_in, serve every point. Returns a
-    dict of per-lane columns: (lanes, methods) sinr, NaN where a method
-    failed, failures, each message or None, and fallback (copra on either
-    side, sample MVDR loaded); copra's n1 (0 where it did not split),
-    gamma_b, gamma_z, fallback_b and fallback_z; and mvdr_loaded."""
-    lanes = len(c_in) * len(points)
-    # each point's own parts are dropped once stacked
-    cov, y_zero, snapshots = (_stack(parts) for parts in zip(
-        *[_observe(cfg, sl.at_snr(snr_db), z, n_s) for snr_db, n_s in points]))
-    es = hermitian_evd(cov)
-    snapshot_weights = snapshots and secular.per_snapshot_weights(es, snapshots)
-    a = np.tile(sl.a_presumed, (len(points), 1))
-
+    cov, y_zero, snapshots = [], [], []
+    for snr_db, n_s in keys:
+        y = arraysim.synthesize_block(sl.at_snr(snr_db), z, n_s)
+        cov.append(arraysim.sample_covariance(arraysim.SnapshotSet(y)))
+        y_zero.append(~y.reshape(len(y), -1).any(axis=-1))
+        if keep:
+            snapshots += list(y)
+        del y  # before the next point's are made
+    es = hermitian_evd(np.concatenate(cov))
+    y_zero = np.concatenate(y_zero)
+    snapshot_weights = secular.per_snapshot_weights(es, snapshots) if keep else None
+    block = len(indices)
+    lanes = len(keys) * block
+    a = np.tile(sl.a_presumed, (len(keys), 1))
     weights = np.zeros((lanes, len(cfg.methods), a.shape[1]), dtype=complex)
     failures = np.full((lanes, len(cfg.methods)), None, dtype=object)
     fallback = np.zeros((lanes, len(cfg.methods)), dtype=bool)
@@ -260,7 +194,7 @@ def _run_block(cfg, sl, points, z, c_in):
                     errors[i] = e
             fallback[:, m] = mvdr_loaded
         elif method == "diagonal-loading":
-            loading = cfg.diagonal_loading * np.tile(sl.noise_power, len(points))
+            loading = cfg.diagonal_loading * np.tile(sl.noise_power, len(keys))
             w, errors = beamformers.loaded_mvdr_lanes(es, a, loading)
         elif method == "copra":
             w = np.zeros_like(a)
@@ -283,7 +217,7 @@ def _run_block(cfg, sl, points, z, c_in):
             fallback[:, m] = fallback_b | fallback_z
         elif method == "quasi-rls":
             # the snapshot side's powers sum_t |(U^H y)_it|^2 are n_s * lambda_i
-            q, n_s = cfg.quasi_grid, np.repeat([k for _, k in points], lanes // len(points))
+            q, n_s = cfg.quasi_grid, np.repeat([k for _, k in keys], block)
             (gb, errors_b), (gz, errors_z) = beamformers.quasi_lanes(
                 es, (beamformers.mode_powers(es, a), (n_s[:, None] * es.eigenvalues, y_zero)),
                 q.points, q.lo_factor, q.hi_factor)
@@ -291,11 +225,11 @@ def _run_block(cfg, sl, points, z, c_in):
             errors = [eb or ez or e for eb, ez, e in zip(errors_b, errors_z, errors)]
         else:  # "optimal"; the config refuses any other method
             w, errors = beamformers.optimal_lanes(c_in, sl.a_true)
-            w, errors = np.tile(w, (len(points), 1)), errors * len(points)
+            w, errors = np.tile(w, (len(keys), 1)), errors * len(keys)
         weights[:, m] = w
         failures[:, m] = [None if e is None else str(e) for e in errors]
 
-    soi_power = np.concatenate([sl.at_snr(snr_db).soi_power for snr_db, _ in points])
+    soi_power = np.concatenate([sl.at_snr(snr_db).soi_power for snr_db, _ in keys])
     sinr = _sinr_lanes(weights, c_in, sl.a_true, soi_power)
     # a method's own error first, then a zero weight vector, then a SINR
     # that is not finite
@@ -304,9 +238,50 @@ def _run_block(cfg, sl, points, z, c_in):
     failures[zero] = "weight vector is zero"
     failures[ok & ~zero & ~np.isfinite(sinr)] = "SINR is not finite"
     sinr[~np.equal(failures, None)] = np.nan
-    return dict(sinr=sinr, failures=failures, fallback=fallback, n1=n1, gamma_b=gamma_b,
-                gamma_z=gamma_z, fallback_b=fallback_b, fallback_z=fallback_z,
-                mvdr_loaded=mvdr_loaded)
+    columns = dict(sinr=sinr, failures=failures, fallback=fallback, n1=n1, gamma_b=gamma_b,
+                   gamma_z=gamma_z, fallback_b=fallback_b, fallback_z=fallback_z,
+                   mvdr_loaded=mvdr_loaded)
+    by_point = {key: {name: col[j * block:(j + 1) * block] for name, col in columns.items()}
+                for j, key in enumerate(keys)}
+    return sl, [by_point[point] for point in points]
+
+
+def run_trials(cfg, indices, master_seed):
+    """Run the Monte-Carlo trials of the given indices, in that order.
+
+    The one-point case of a sweep: the trials run in blocks of BLOCK lanes,
+    each drawn from its own substream, and only here do a block's columns
+    become records. A trial's record does not depend on the other trials of
+    its block, so it is the same for any index set, order or block split.
+    Per-method failures, the eigensolver's among them, are recorded per lane
+    as missing values; nothing raises, so long sweeps always complete.
+    """
+    indices = [int(i) for i in indices]
+    records = []
+    for start in range(0, len(indices), BLOCK):
+        block = indices[start:start + BLOCK]
+        sl, (columns,) = _run_points(cfg, [(cfg.snr_db, cfg.n_snapshots)], block,
+                                     master_seed)
+        sinr, failures, n1, gamma_b, gamma_z, fallback_b, fallback_z, loaded = (
+            columns[name].tolist() for name in ("sinr", "failures", "n1", "gamma_b", "gamma_z",
+                                                "fallback_b", "fallback_z", "mvdr_loaded"))
+        soi_doa, soi_error = sl.soi_doa_deg.tolist(), sl.soi_error_deg.tolist()
+        interferer_doas = sl.interferer_doas_deg.tolist()
+        for i, index in enumerate(block):
+            failed = {m: f for m, f in zip(cfg.methods, failures[i]) if f is not None}
+            records.append(TrialRecord(
+                trial_index=index, failures=failed,
+                sinr={m: None if m in failed else v for m, v in zip(cfg.methods, sinr[i])},
+                n1=n1[i] or None, n2=cfg.n_elements - n1[i] if n1[i] else None,
+                gamma_b=gamma_b[i], gamma_z=gamma_z[i], fallback_b=fallback_b[i],
+                fallback_z=fallback_z[i], mvdr_loaded=loaded[i], soi_doa_deg=soi_doa[i],
+                soi_error_deg=soi_error[i], interferer_doas_deg=tuple(interferer_doas[i])))
+    return records
+
+
+def run_trial(cfg, trial_index, master_seed):
+    """Run one Monte-Carlo trial: the one-lane case of run_trials."""
+    return run_trials(cfg, [trial_index], master_seed)[0]
 
 
 def _aggregate(sinr, fallback, method, value):
@@ -323,11 +298,11 @@ def _aggregate(sinr, fallback, method, value):
     return PointStats(value, method, mean_db, stderr_db, n, fallback_rate)
 
 
-def _sweep_block(point_cfgs, indices, master_seed):
+def _sweep_block(cfg, points, indices, master_seed):
     """One sweep job: a block of trials at every point, as the (sinr,
     fallback) columns of each point."""
     return [(columns["sinr"], columns["fallback"])
-            for columns in _run_points(point_cfgs, indices, master_seed)[1]]
+            for columns in _run_points(cfg, points, indices, master_seed)[1]]
 
 
 def run_sweep(cfg, sweep_kind, master_seed=None):
@@ -338,15 +313,14 @@ def run_sweep(cfg, sweep_kind, master_seed=None):
     realizations. A job is one block of trials over every point: each trial
     is drawn once per sweep, not once per point.
     """
-    grids = {"snr": ("snr_db", float, cfg.snr_db_grid),
-             "snapshots": ("n_snapshots", int, cfg.snapshot_grid)}
-    if sweep_kind not in grids:
+    values = {"snr": cfg.snr_db_grid, "snapshots": cfg.snapshot_grid}.get(sweep_kind)
+    if values is None:
         raise ValueError("sweep kind must be 'snr' or 'snapshots'")
-    name, kind, points = grids[sweep_kind]
     if master_seed is None:
         master_seed = cfg.seed
 
-    point_cfgs = [dataclasses.replace(cfg, **{name: kind(v)}) for v in points]
+    points = [(float(v), cfg.n_snapshots) if sweep_kind == "snr" else (cfg.snr_db, int(v))
+              for v in values]
     blocks = [range(s, min(s + BLOCK, cfg.trials)) for s in range(0, cfg.trials, BLOCK)]
     # one pool for the sweep, fed whole blocks; map keeps the block order,
     # whatever the worker count, and a finished block leaves only its columns
@@ -358,11 +332,12 @@ def run_sweep(cfg, sweep_kind, master_seed=None):
     with (ProcessPoolExecutor(min(cfg.workers, len(blocks))) if parallel
           else nullcontext()) as pool:
         done = (pool.map if pool else map)(
-            _sweep_block, [point_cfgs] * len(blocks), blocks, [master_seed] * len(blocks))
+            _sweep_block, [cfg] * len(blocks), [points] * len(blocks), blocks,
+            [master_seed] * len(blocks))
         # per point, the (sinr, fallback) columns of every block, stacked in block order
         columns = [[np.concatenate(c) for c in zip(*point)] for point in zip(*done)]
     rows = [_aggregate(sinr[:, m], fallback[:, m], method, float(value))
-            for value, (sinr, fallback) in zip(points, columns)
+            for value, (sinr, fallback) in zip(values, columns)
             for m, method in enumerate(cfg.methods)]
 
     return SweepResult(

@@ -259,7 +259,8 @@ def _stacked_run(monkeypatch, failed):
     here, synthesizes each point's snapshots once: no lane is run again."""
     point_cfgs = [dataclasses.replace(STACKED, snr_db=v) for v in STACKED.snr_db_grid]
     synthesized = _synthesized(monkeypatch)
-    _, columns = harness._run_points(point_cfgs, INDICES, SEED)
+    _, columns = harness._run_points(
+        STACKED, [(v, STACKED.n_snapshots) for v in STACKED.snr_db_grid], INDICES, SEED)
     assert len(synthesized) == len(point_cfgs)
     rows = harness.run_sweep(STACKED, "snr", SEED).rows
     assert len(synthesized) == 2 * len(point_cfgs)
@@ -269,7 +270,7 @@ def _stacked_run(monkeypatch, failed):
     assert set(bad.failures) == set(failed)
     assert all(bad.sinr[m] is None for m in failed)
     for p, cfg in enumerate(point_cfgs):
-        _, (alone,) = harness._run_points([cfg], INDICES, SEED)
+        _, (alone,) = harness._run_points(cfg, [(cfg.snr_db, cfg.n_snapshots)], INDICES, SEED)
         for i in INDICES:
             if (p, i) != (POINT, BAD):
                 assert _lane(columns[p], i) == _lane(alone, i), (p, i)
@@ -312,7 +313,8 @@ def test_clairvoyant_eigensolver_failure_fails_its_trial_at_every_snr(monkeypatc
     monkeypatch.setattr(np.linalg, "eigh",
                         _eigh_failing_lane(arraysim.interference_noise_lanes(sl)[0]))
     point_cfgs = [dataclasses.replace(STACKED, snr_db=v) for v in STACKED.snr_db_grid]
-    _, columns = harness._run_points(point_cfgs, INDICES, SEED)
+    _, columns = harness._run_points(
+        STACKED, [(v, STACKED.n_snapshots) for v in STACKED.snr_db_grid], INDICES, SEED)
     rows = harness.run_sweep(STACKED, "snr", SEED).rows
     assert repr(rows) == repr(_per_point_rows(STACKED, "snr"))
     monkeypatch.undo()
@@ -366,7 +368,9 @@ def _stacked_snapshot_run(monkeypatch, failed):
     point_cfgs = [dataclasses.replace(STACKED_SNAPSHOTS, n_snapshots=v)
                   for v in STACKED_SNAPSHOTS.snapshot_grid]
     synthesized = _synthesized(monkeypatch)
-    _, columns = harness._run_points(point_cfgs, INDICES, SEED)
+    _, columns = harness._run_points(
+        STACKED_SNAPSHOTS, [(STACKED_SNAPSHOTS.snr_db, v) for v in STACKED_SNAPSHOTS.snapshot_grid],
+        INDICES, SEED)
     assert len(synthesized) == len(point_cfgs)
     rows = harness.run_sweep(STACKED_SNAPSHOTS, "snapshots", SEED).rows
     assert len(synthesized) == 2 * len(point_cfgs)
@@ -376,7 +380,7 @@ def _stacked_snapshot_run(monkeypatch, failed):
     assert set(bad.failures) == set(failed)
     assert all(bad.sinr[m] is None for m in failed)
     for p, cfg in enumerate(point_cfgs):
-        _, (alone,) = harness._run_points([cfg], INDICES, SEED)
+        _, (alone,) = harness._run_points(cfg, [(cfg.snr_db, cfg.n_snapshots)], INDICES, SEED)
         for i in INDICES:
             if (p, i) != (POINT, BAD):
                 assert _lane(columns[p], i) == _lane(alone, i), (p, i)
@@ -483,6 +487,16 @@ def test_sweep_builds_no_records(monkeypatch):
     assert cfg.workers == 1
     for kind in ("snr", "snapshots"):
         harness.run_sweep(cfg, kind, SEED)
+
+
+def test_sweep_builds_no_config(monkeypatch):
+    # a sweep point is its (SNR, snapshot count) pair, not a config copy
+    cfg = dataclasses.replace(STACKED_SNAPSHOTS, trials=2 * harness.BLOCK)
+    built = []
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", lambda self: built.append(self))
+    for kind in ("snr", "snapshots"):
+        harness.run_sweep(cfg, kind, SEED)
+    assert built == []
 
 
 def test_each_point_drops_its_snapshots_before_the_next(monkeypatch):

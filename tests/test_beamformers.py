@@ -191,6 +191,15 @@ class TestCopraWeights:
         for gamma_b, gamma_z in ((1e150, 0.5), (0.5, 1e300)):
             assert np.all(np.isfinite(copra_weights(es, gamma_b, gamma_z, np.ones(2)).w))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_mode_with_underflowing_level_adds_nothing(self):
+        # (0 + 5e-324)^2 underflows to 0: the zero mode's filter 0/0 must read
+        # its limit 0, not NaN, and leave the weights of the other mode alone
+        es = _diag_es([1.49, 0.0])
+        for gamma in (5e-324, 1e-200):
+            w = copra_weights(es, gamma, gamma, np.ones(2)).w
+            assert np.array_equal(w, [1.0, 0.0]), gamma
+
 
 class TestOptimal:
     def test_no_interferers_sinr(self):

@@ -425,3 +425,22 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("kind", ["snr", "snapshots"])
+def test_pool_sweep_outputs_equal_serial(tmp_path, kind):
+    # two blocks, so two workers take one each: the chart and CSV are the
+    # serial run's bytes, and meta.json differs only in config.workers
+    path = _write_cfg(tmp_path, {"trials": 2 * harness.BLOCK, "seed": 7,
+                                 "snr_db_grid": [0.0, 20.0], "snapshot_grid": [10, 30]})
+    out = {}
+    for workers in (1, 2):
+        out[workers] = tmp_path / str(workers)
+        assert main(["sweep", "--kind", kind, "--config", path, "--workers", str(workers),
+                     "--out", str(out[workers])]) == 0
+    for name in ("sweep.csv", "sweep.svg"):
+        assert (out[1] / name).read_bytes() == (out[2] / name).read_bytes(), name
+    serial, pooled = (json.loads((out[w] / "meta.json").read_text()) for w in (1, 2))
+    assert pooled["config"]["workers"] == 2
+    pooled["config"]["workers"] = 1
+    assert pooled == serial

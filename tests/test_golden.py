@@ -15,7 +15,8 @@ The snapshot sweep includes 5 and 10 snapshots on 10 elements, where the
 sample covariance is rank-deficient: sample MVDR takes its loaded path and the
 quasi selector sees zero eigenvalues. One more point pins failures: on 2
 elements with 1 snapshot at -100 dB, a quasi grid whose lower end
-underflows fails one trial, and a SINR that is not finite eight more.
+underflows fails one trial, and eight more pair a zero eigenvalue with a
+level whose square underflows, where copra's filter takes its limit 0.
 
 A change that moves the numbers on purpose regenerates the files with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and says why in CHANGES.md.
