@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ArrayGeometry  # config validates it without numpy
+
 __all__ = [
     "ArrayGeometry",
     "Scenario",
@@ -37,20 +39,6 @@ __all__ = [
     "true_covariance",
     "interference_noise_lanes",
 ]
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Uniform linear array: element count and inter-element spacing in wavelengths."""
-
-    n_elements: int = 10
-    spacing_wavelengths: float = 0.5
-
-    def __post_init__(self):
-        if self.n_elements < 2:
-            raise ValueError("n_elements must be >= 2")
-        if not 0 < self.spacing_wavelengths < np.inf:
-            raise ValueError("spacing_wavelengths must be positive and finite")
 
 
 @dataclass(frozen=True)

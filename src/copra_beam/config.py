@@ -1,14 +1,14 @@
-"""Experiment configuration: defaults, validation, JSON round-trip."""
+"""Experiment configuration: defaults, validation, JSON round-trip.
+
+The package's leaf: it imports only the standard library, so a config loads
+without numpy. It owns the array geometry and the run's sizing constants.
+"""
 
 import dataclasses
 import json
 import math
 import numbers
 from dataclasses import dataclass, field
-
-from .arraysim import ArrayGeometry
-from .linalg import BLOCK, LANE_CHUNK
-from .secular import SCAN_POINTS
 
 __all__ = ["ExperimentConfig", "QuasiGridOptions", "load_config", "config_from_dict"]
 
@@ -42,6 +42,20 @@ LEVEL_DB_BOUND = 100.0
 # largest array would exceed it is refused at load, not by the allocator
 ARRAY_BUDGET = 2**27
 
+# trials per block of a run: enough to spread numpy's per-call cost; a
+# sweep's stack holds points x BLOCK lanes, whose snapshots exist one point
+# at a time and whose grid-shaped work runs in chunks of LANE_CHUNK lanes,
+# so the peak memory stays flat
+BLOCK = 10
+
+# lanes per chunk of the grid-shaped work (the secular sign scan, the quasi
+# filter grid): enough to spread numpy's per-call cost, few enough that a
+# stacked sweep point's (lanes, points, n) arrays keep the peak memory flat
+LANE_CHUNK = 12
+
+# points of the secular solver's logarithmic sign scan, per lane and side
+SCAN_POINTS = 200
+
 
 def _largest_arrays(cfg):
     """(float64 values, array, the fields that size it) of the largest arrays
@@ -60,9 +74,24 @@ def _largest_arrays(cfg):
         (BLOCK * max(points * cfg.quasi_grid.points, solves * SCAN_POINTS),
          "one block's regularization grids",
          "quasi_grid.points, n_snapshots, gamma_z_policy, " + grid),
-        (cfg.trials * points * len(cfg.methods), "the sweep's SINR columns",
+        # a run draws every trial even for no method
+        (cfg.trials * points * max(1, len(cfg.methods)), "the sweep's SINR columns",
          "trials, methods, " + grid),
     ]
+
+
+@dataclass(frozen=True)
+class ArrayGeometry:
+    """Uniform linear array: element count and inter-element spacing in wavelengths."""
+
+    n_elements: int = 10
+    spacing_wavelengths: float = 0.5
+
+    def __post_init__(self):
+        if self.n_elements < 2:
+            raise ValueError("n_elements must be >= 2")
+        if not 0 < self.spacing_wavelengths < math.inf:
+            raise ValueError("spacing_wavelengths must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SCAN_POINTS
 from .linalg import lane_chunks, lanes_matmul
 
 __all__ = [
@@ -63,14 +64,14 @@ class SecularSolveReport:
 
 
 # Safeguarded-Newton controls. The bracket comes from a SCAN_POINTS-point
-# logarithmic sign scan over [SCAN_LO_FACTOR, SCAN_HI_FACTOR] *
-# mean(eigenvalues); Newton steps leaving the bracket are replaced by bisection.
+# logarithmic sign scan over [SCAN_LO_FACTOR, SCAN_HI_FACTOR] * mean(eigenvalues)
+# (config sizes its array budget by SCAN_POINTS); Newton steps leaving the
+# bracket are replaced by bisection.
 MAX_NEWTON_ITERS = 100
 MAX_BISECT_ITERS = 200
 GAMMA_REL_TOL = 1e-9
 RESIDUAL_REL_TOL = 1e-12
 INIT_FACTOR = 1e-6
-SCAN_POINTS = 200
 SCAN_LO_FACTOR = 1e-9
 SCAN_HI_FACTOR = 1e3
 

@@ -2,14 +2,17 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from copra_beam import arraysim, harness
+from copra_beam import arraysim, config, harness, linalg, secular
 from copra_beam.cli import CSV_HEADER, _sweep_svg, main
 from copra_beam.config import (LEVEL_DB_BOUND, METHODS, ExperimentConfig, config_from_dict,
                                load_config)
@@ -122,6 +125,8 @@ class TestConfig:
         ('{"snr_db_grid": [0.0], "trials": 30000000, "methods": ["copra"], '
          '"snapshot_grid": [10, 20, 30, 40, 50]}', "trials"),
         ('{"gamma_z_policy": "per-snapshot-median", "n_snapshots": 400000}', "gamma_z_policy"),
+        # no method still draws every trial
+        ('{"trials": 1000000000000, "methods": []}', "trials"),
     ])
     def test_bad_values_refused_at_load(self, tmp_path, doc, field):
         path = tmp_path / "bad.json"
@@ -151,6 +156,19 @@ class TestConfig:
         for row in rows:
             assert row["trials"] == "1" and math.isfinite(float(row["mean_sinr_db"])), row
 
+    def test_config_loads_without_numpy(self, tmp_path):
+        path = _write_cfg(tmp_path)
+        probe = ("import sys\nfrom copra_beam.config import load_config\n"
+                 "load_config(sys.argv[1])\nassert 'numpy' not in sys.modules\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        subprocess.run([sys.executable, "-c", probe, path], check=True,
+                       env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+
+    def test_config_owns_the_sizing_names(self):
+        assert arraysim.ArrayGeometry is config.ArrayGeometry
+        assert (linalg.BLOCK, harness.BLOCK, linalg.LANE_CHUNK, secular.SCAN_POINTS) == (
+            config.BLOCK, config.BLOCK, config.LANE_CHUNK, config.SCAN_POINTS)
+
     def test_quasi_grid_nested(self):
         cfg = config_from_dict({"quasi_grid": {"points": 50}})
         assert cfg.quasi_grid.points == 50
@@ -162,7 +180,9 @@ class TestConfig:
 # once, or, for at most two fields, a hostile one: a wrong type, a sign, a
 # non-finite or huge number or an unknown key. No hostile count is a valid
 # integer, so none starts a large run or many workers, and no guard nears
-# 90 deg, where the interferer redraws grow without limit.
+# 90 deg, where the interferer redraws grow without limit. At most one count
+# may instead be valid but huge: each passes the array budget in any config,
+# so a doc holding one must be refused at load and is never run.
 NOT_NUMBERS = [True, None, "1", [1], {}]
 HOSTILE_INT = st.sampled_from([0, -1, 1.5, 1e308, -1e308, math.nan, math.inf, -math.inf]
                               + NOT_NUMBERS)
@@ -204,21 +224,40 @@ HOSTILE_FIELDS = dict(
     gamma_z_policy=st.one_of(HOSTILE_FLOAT, st.just("latest")),
     n_elments=st.just(10),
 )
+LARGE_COUNTS = (2**27 + 1, 10**12, 10**30)
+LARGE = st.sampled_from(LARGE_COUNTS)
+LARGE_FIELDS = dict(
+    {name: LARGE for name in ("trials", "n_elements", "n_interferers", "n_snapshots")},
+    snapshot_grid=st.tuples(st.lists(st.integers(1, 12), max_size=2), LARGE).map(
+        lambda parts: [*parts[0], parts[1]]),
+    quasi_grid=LARGE.map(lambda points: {"points": points}),
+)
 hostile_configs = st.tuples(
     # one trial on one worker, not the defaults' 1000
     st.fixed_dictionaries({"trials": st.just(1), "workers": st.just(1)}, optional=VALID_FIELDS),
+    st.lists(st.sampled_from(sorted(LARGE_FIELDS)), max_size=1).flatmap(
+        lambda names: st.fixed_dictionaries({k: LARGE_FIELDS[k] for k in names})),
     st.lists(st.sampled_from(sorted(HOSTILE_FIELDS)), max_size=2, unique=True).flatmap(
         lambda names: st.fixed_dictionaries({k: HOSTILE_FIELDS[k] for k in names})),
-).map(lambda parts: {**parts[0], **parts[1]})
+).map(lambda parts: {**parts[0], **parts[1], **parts[2]})
+
+
+def _holds_large_count(doc):
+    grid, quasi = doc.get("snapshot_grid"), doc.get("quasi_grid")
+    counts = [doc.get(name) for name in ("trials", "n_elements", "n_interferers", "n_snapshots")]
+    counts += list(grid) if isinstance(grid, list) else []
+    counts += [quasi.get("points")] if isinstance(quasi, dict) else []
+    return any(type(v) is int and v in LARGE_COUNTS for v in counts)
 
 
 # derandomized, so the same configs run, and no warning passes, every time
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@settings(max_examples=180, deadline=None, database=None, derandomize=True)
 @example({"trials": 1, "soi_error_bound_deg": 1e308}, "snr")
 @example({"trials": 1, "snr_db_grid": []}, "snr")
 @example({"trials": 1, "snapshot_grid": []}, "snapshots")
 @example({"trials": 1, "methods": []}, "snr")
+@example({"trials": 10**12, "methods": []}, "snr")
 @example({"trials": 1, "methods": ["copra", ["optimal"]]}, "snr")
 # the largest sample eigenvalue of trial 0 is 0.35: the quasi grid's lower
 # end, 5e-324 times it, rounds to zero
@@ -226,6 +265,10 @@ hostile_configs = st.tuples(
           "snr_db": -100.0, "seed": 11, "quasi_grid": {"lo_factor": 5e-324}}, "snr")
 @given(hostile_configs, st.sampled_from(["snr", "snapshots"]))
 def test_every_config_runs_or_is_refused_at_load(doc, kind):
+    if _holds_large_count(doc):
+        with pytest.raises(ValueError):
+            config_from_dict(doc)
+        return
     try:
         config_from_dict(doc)
     except ValueError:
