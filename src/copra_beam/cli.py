@@ -103,6 +103,7 @@ def cmd_trial(args):
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     record = run_trial(cfg, 0, cfg.seed)
+    solved = record.n1 is not None  # copra solves its levels only where it splits
 
     payload = {
         "seed": cfg.seed,
@@ -111,8 +112,8 @@ def cmd_trial(args):
         "interferer_doas_deg": list(record.interferer_doas_deg),
         "n1": record.n1,
         "n2": record.n2,
-        "gamma_b": record.gamma_b,
-        "gamma_z": record.gamma_z,
+        "gamma_b": record.gamma_b if solved else None,
+        "gamma_z": record.gamma_z if solved else None,
         "fallback_b": record.fallback_b,
         "fallback_z": record.fallback_z,
         # a SINR of 0 is a value too: -inf dB
@@ -133,12 +134,12 @@ def cmd_trial(args):
     if record.interferer_doas_deg:
         print("  interferers at %s deg" %
               ", ".join("%.3f" % d for d in record.interferer_doas_deg))
-    if record.n1 is not None:
+    if solved:
         print("  eigenvalue split: n1=%d significant, n2=%d trivial" %
               (record.n1, record.n2))
-    print("  gamma_b=%.6g%s  gamma_z=%.6g%s" %
-          (record.gamma_b, " (fallback)" if record.fallback_b else "",
-           record.gamma_z, " (fallback)" if record.fallback_z else ""))
+        print("  gamma_b=%.6g%s  gamma_z=%.6g%s" %
+              (record.gamma_b, " (fallback)" if record.fallback_b else "",
+               record.gamma_z, " (fallback)" if record.fallback_z else ""))
     for method, value in payload["sinr_db"].items():
         if value is None:
             print("  %-16s failed: %s" % (method, record.failures[method]))

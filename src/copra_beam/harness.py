@@ -197,23 +197,18 @@ def _run_points(cfg, points, indices, master_seed):
             loading = cfg.diagonal_loading * np.tile(sl.noise_power, len(keys))
             w, errors = beamformers.loaded_mvdr_lanes(es, a, loading)
         elif method == "copra":
-            w = np.zeros_like(a)
-            n1, groups = secular.split_lanes(es, cfg.rho)
+            n1, report_b, report_z = secular.copra_gammas_lanes(
+                es, a, cfg.rho, snapshot_weights, snapshot_policy=cfg.gamma_z_policy)
+            gamma_b, gamma_z = report_b.gamma, report_z.gamma
+            fallback_b, fallback_z = report_b.fallback_used, report_z.fallback_used
             errors = flag_lanes(es.errors.tolist(), n1 == 0, lambda i: ValueError(
                 "cannot split an all-zero spectrum"))
-            for idx, split in groups:
-                reports = secular.copra_gammas_lanes(
-                    split, a[idx], snapshot_weights and [snapshot_weights[i] for i in idx],
-                    snapshot_policy=cfg.gamma_z_policy)
-                reports_b, reports_z = zip(*reports)
-                gamma_b[idx] = [r.gamma for r in reports_b]
-                gamma_z[idx] = [r.gamma for r in reports_z]
-                fallback_b[idx] = [r.fallback_used for r in reports_b]
-                fallback_z[idx] = [r.fallback_used for r in reports_z]
-                w[idx], split_errors = beamformers.copra_lanes(
-                    split.es, gamma_b[idx], gamma_z[idx], a[idx])
-                for i, e in zip(idx, split_errors):
-                    errors[i] = e
+            idx = np.flatnonzero(n1)
+            w = np.zeros_like(a)
+            w[idx], split_errors = beamformers.copra_lanes(
+                es[idx], gamma_b[idx], gamma_z[idx], a[idx])
+            for i, e in zip(idx, split_errors):
+                errors[i] = e
             fallback[:, m] = fallback_b | fallback_z
         elif method == "quasi-rls":
             # the snapshot side's powers sum_t |(U^H y)_it|^2 are n_s * lambda_i

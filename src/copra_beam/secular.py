@@ -11,7 +11,7 @@ The kernel and the solver run over a stack of lanes, each lane with its own
 spectrum; the single-system functions are the one-lane case.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "EigenSplit",
     "SecularSolveReport",
     "split_eigenvalues",
-    "split_lanes",
     "secular_function",
     "secular_function_weighted",
     "solve_secular",
@@ -39,8 +38,7 @@ class EigenSplit:
     """Partition of a covariance eigensystem into significant / trivial groups.
 
     n1 singular values exceed the threshold rho * mean(singular values); the
-    remaining n2 = n - n1 are treated as zero. beta = n / n1. es may also be
-    a stack of lanes that all split at n1; sigma1_sq then has a row per lane.
+    remaining n2 = n - n1 are treated as zero. beta = n / n1.
     """
 
     es: object
@@ -53,14 +51,28 @@ class EigenSplit:
 
 @dataclass(frozen=True)
 class SecularSolveReport:
-    """Outcome of one secular-equation solve."""
+    """Outcome of one secular-equation solve, or of a stack of lanes.
+
+    Each solve ends in one of three states: converged (|G(gamma)| is the
+    residual); a fallback, where the sign scan found no root and gamma is
+    rho * mean(eigenvalues), with 0 iterations and the smallest |G| on the
+    scan grid, not |G(gamma)|, as the residual; or neither, the budget spent
+    and gamma the bracket's midpoint. In a stack every field is a (lanes,)
+    array. Indexing selects lanes: an integer gives that lane's report in
+    Python float, int and bool, as a single solve returns it.
+    """
 
     gamma: float
     iterations: int
     residual: float
     converged: bool
     fallback_used: bool
-    bracket: tuple = None
+
+    def __getitem__(self, lanes):
+        values = [getattr(self, f.name)[lanes] for f in fields(self)]
+        if isinstance(lanes, (int, np.integer)):
+            values = [v.item() for v in values]
+        return SecularSolveReport(*values)
 
 
 # Safeguarded-Newton controls. The bracket comes from a SCAN_POINTS-point
@@ -85,18 +97,6 @@ def _significant(eigenvalues, rho):
     return np.count_nonzero(sigma > threshold[..., None], axis=-1)
 
 
-def _split(es, n1, rho):
-    n = es.n
-    return EigenSplit(
-        es=es,
-        n1=n1,
-        n2=n - n1,
-        rho=rho,
-        sigma1_sq=es.eigenvalues[..., :n1].copy(),
-        beta=n / n1,
-    )
-
-
 def split_eigenvalues(es, rho):
     """Split the spectrum at rho times the mean singular value.
 
@@ -107,24 +107,8 @@ def split_eigenvalues(es, rho):
     n1 = int(_significant(es.eigenvalues, rho))
     if n1 == 0:
         raise ValueError("cannot split an all-zero spectrum")
-    return _split(es, n1, rho)
-
-
-def split_lanes(es, rho):
-    """Split every lane of a (lanes, n) eigensystem stack, grouped by n1.
-
-    Returns (n1, groups): n1 per lane, 0 for an all-zero spectrum that cannot
-    be split, and one (lanes, split) pair per positive n1 whose split holds
-    those lanes as a stack. Lanes are grouped, not padded: numpy sums fewer
-    than 8 terms in order and more in 8-way blocks, so a zero-padded
-    sigma1_sq would change the bits of a lane's sums.
-    """
-    n1 = _significant(es.eigenvalues, rho)
-    groups = []
-    for k in sorted(set(n1.tolist()) - {0}):
-        lanes = np.flatnonzero(n1 == k)
-        groups.append((lanes, _split(es[lanes], k, rho)))
-    return n1, groups
+    return EigenSplit(es=es, n1=n1, n2=es.n - n1, rho=rho,
+                      sigma1_sq=es.eigenvalues[..., :n1].copy(), beta=es.n / n1)
 
 
 def _kernel(gamma, lam, lam1, weights, beta, n2, derivative):
@@ -219,7 +203,7 @@ def _scan(grid, lam, lam1, weights, beta, n2):
 
 
 def _solve_lanes(lam, lam1, weights, beta, n2, rho):
-    """Solve G(gamma) = 0 on every lane; one SecularSolveReport per lane.
+    """Solve G(gamma) = 0 on every lane; one stacked SecularSolveReport.
 
     lam, lam1 and weights hold one row per lane, all lanes split at the same
     n1. A sign scan of every lane's logarithmic grid, in chunks of
@@ -227,14 +211,13 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho):
     back. Newton then steps all bracketed lanes together inside their
     brackets, with bisection safeguards, taking G and G' from one kernel
     call per step; a lane leaves once it converges, and lanes still open
-    when the Newton budget is spent finish by bisection. Iterations,
-    residual and bracket are each lane's own, and so are its bits. Failures
-    are reported, never raised, so Monte-Carlo runs always complete.
+    when the Newton budget is spent finish by bisection. Iterations and
+    residual are each lane's own, and so are its bits. Failures are
+    reported, never raised, so Monte-Carlo runs always complete.
     """
     weights = np.ascontiguousarray(weights, dtype=float)
     # positive: a split refuses a spectrum without a positive eigenvalue
     mean_lam = lam.mean(axis=-1)
-    reports = [None] * len(lam)
 
     def kernel(x, derivative=True):
         # on the lanes still open: the arrays below shrink as lanes finish
@@ -247,17 +230,16 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho):
                                              SCAN_POINTS, axis=-1))
     scans = [_scan(grid[c], lam[c], lam1[c], weights[c], beta, n2)
              for c in lane_chunks(len(lam))]
-    found, lo, hi, g_lo, g_hi, floor = (np.concatenate(v) for v in zip(*scans))
-    for i in np.flatnonzero(~found):
-        reports[i] = SecularSolveReport(
-            gamma=rho * float(mean_lam[i]), iterations=0, residual=float(floor[i]),
-            converged=False, fallback_used=True)
+    found, lo, hi, g_lo, g_hi, residual = (np.concatenate(v) for v in zip(*scans))
+    # every lane starts as a fallback; the bracketed ones are written below
+    report = SecularSolveReport(gamma=rho * mean_lam, iterations=np.zeros(len(lam), dtype=int),
+                                residual=residual, converged=np.zeros(len(lam), dtype=bool),
+                                fallback_used=~found)
 
     lanes = np.flatnonzero(found)
     if not lanes.size:
-        return reports
+        return report
     lo, hi, g_lo, g_hi = lo[lanes], hi[lanes], g_lo[lanes], g_hi[lanes]
-    brackets = {i: (float(a), float(b)) for i, a, b in zip(lanes, lo, hi)}
     lam, lam1, weights = lam[lanes], lam1[lanes], weights[lanes]
 
     # G at the initial point and G' at the bracket's low end, in one call
@@ -289,24 +271,21 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho):
                 done = (abs(g) <= tol) | (hi - lo <= GAMMA_REL_TOL * step)
             x, gx = step, g
             if done.any():
-                for j in np.flatnonzero(done):
-                    reports[lanes[j]] = SecularSolveReport(
-                        gamma=float(x[j]), iterations=it + 1, residual=float(abs(gx[j])),
-                        converged=True, fallback_used=False, bracket=brackets[lanes[j]])
+                at = lanes[done]
+                report.gamma[at], report.residual[at] = x[done], abs(gx[done])
+                report.iterations[at], report.converged[at] = it + 1, True
                 if done.all():
-                    return reports
+                    return report
                 keep = ~done
                 lanes, lam, lam1, weights, lo, hi, g_lo, x, gx, slope, tol = (
                     v[keep] for v in (lanes, lam, lam1, weights, lo, hi, g_lo, x, gx,
                                       slope, tol))
 
+    # the budget is spent: neither converged nor a fallback
     mid = 0.5 * (lo + hi)
     g = kernel(mid[:, None], derivative=False)[0][:, 0]
-    for j, i in enumerate(lanes):
-        reports[i] = SecularSolveReport(
-            gamma=float(mid[j]), iterations=budget, residual=float(abs(g[j])),
-            converged=False, fallback_used=False, bracket=brackets[i])
-    return reports
+    report.gamma[lanes], report.residual[lanes], report.iterations[lanes] = mid, abs(g), budget
+    return report
 
 
 def solve_secular_weighted(split, weights):
@@ -331,12 +310,16 @@ def per_snapshot_weights(es, y):
     return [np.abs(uh[i] @ y[i]).T ** 2 for i in range(len(y))]
 
 
-def copra_gammas_lanes(split, a_presumed, snapshot_weights=None, snapshot_policy="averaged"):
-    """Solve for the steering-side and snapshot-side regularization parameters.
+def copra_gammas_lanes(es, a_presumed, rho, snapshot_weights=None, snapshot_policy="averaged"):
+    """Split every lane of an eigensystem stack and solve both of its levels.
 
-    split holds a stack of lanes and a_presumed is (lanes, n); returns one
-    (report_b, report_z) pair of SecularSolveReports per lane. The
-    steering-side solve uses d = U^H a.
+    es is a (lanes, n) eigensystem stack and a_presumed is (lanes, n);
+    returns (n1, report_b, report_z): per lane its split n1, and the stacked
+    SecularSolveReports of the steering side, d = U^H a, and the snapshot
+    side. An all-zero spectrum cannot be split: its lane gets n1 = 0, NaN
+    levels and residuals, and neither flag. Lanes are grouped by n1, not
+    padded: numpy sums fewer than 8 terms in order and more in 8-way blocks,
+    so a zero-padded sigma1_sq would change the bits of a lane's sums.
     For the snapshot side the default policy replaces |d_i|^2 by its average
     over all snapshots, which equals the covariance eigenvalue lambda_i; the
     alternative solves per snapshot of snapshot_weights (per_snapshot_weights,
@@ -346,31 +329,40 @@ def copra_gammas_lanes(split, a_presumed, snapshot_weights=None, snapshot_policy
     """
     if snapshot_policy not in ("averaged", "per-snapshot-median"):
         raise ValueError("unknown snapshot policy %r" % snapshot_policy)
-    lam, lam1 = split.es.eigenvalues, split.sigma1_sq
-    weights_b = np.abs(lanes_matmul(split.es.u.conj().swapaxes(-1, -2), a_presumed)) ** 2
-    lanes = len(lam)
-    if snapshot_policy == "averaged":
-        # mean over snapshots of |U^H y_t|^2 equals the eigenvalues of the
-        # sample covariance formed from the same snapshots
-        counts, weights_z = np.ones(lanes, dtype=int), lam
-    else:
-        # every snapshot of every lane is a lane of its own
-        counts = [len(w) for w in snapshot_weights]
-        weights_z = np.concatenate(snapshot_weights)
-    rows = np.repeat(np.arange(lanes), counts)
-    # both sides run as lanes of one solve
-    reports = _solve_lanes(np.concatenate([lam, lam[rows]]), np.concatenate([lam1, lam1[rows]]),
-                           np.concatenate([weights_b, weights_z]), split.beta, split.n2, split.rho)
-    reports_b, reports_z = reports[:lanes], reports[lanes:]
-    if snapshot_policy != "averaged":
-        reports_z = [SecularSolveReport(
-            gamma=float(np.median([r.gamma for r in reps])),
-            iterations=sum(r.iterations for r in reps),
-            residual=max(r.residual for r in reps),
-            converged=all(r.converged for r in reps),
-            fallback_used=any(r.fallback_used for r in reps))
-            for reps in (reports_z[end - n:end] for n, end in zip(counts, np.cumsum(counts)))]
-    return list(zip(reports_b, reports_z))
+    n1 = _significant(es.eigenvalues, rho)
+    report_b, report_z = (SecularSolveReport(
+        gamma=np.full(len(n1), np.nan), iterations=np.zeros(len(n1), dtype=int),
+        residual=np.full(len(n1), np.nan), converged=np.zeros(len(n1), dtype=bool),
+        fallback_used=np.zeros(len(n1), dtype=bool)) for _ in range(2))
+    for k in sorted(set(n1.tolist()) - {0}):
+        idx = np.flatnonzero(n1 == k)
+        lam, lam1 = es.eigenvalues[idx], es.eigenvalues[idx, :k]
+        weights_b = np.abs(lanes_matmul(es.u[idx].conj().swapaxes(-1, -2), a_presumed[idx])) ** 2
+        if snapshot_policy == "averaged":
+            # mean over snapshots of |U^H y_t|^2 equals the eigenvalues of the
+            # sample covariance formed from the same snapshots
+            counts, weights_z = np.ones(len(idx), dtype=int), lam
+        else:
+            # every snapshot of every lane is a lane of its own
+            counts = [len(snapshot_weights[i]) for i in idx]
+            weights_z = np.concatenate([snapshot_weights[i] for i in idx])
+        rows = np.repeat(np.arange(len(idx)), counts)
+        # both sides run as lanes of one solve
+        solved = _solve_lanes(np.concatenate([lam, lam[rows]]), np.concatenate([lam1, lam1[rows]]),
+                              np.concatenate([weights_b, weights_z]), es.n / k, es.n - k, rho)
+        b, z = solved[:len(idx)], solved[len(idx):]
+        if snapshot_policy != "averaged":
+            starts = np.cumsum(counts) - counts
+            z = SecularSolveReport(
+                gamma=np.array([np.median(g) for g in np.split(z.gamma, starts[1:])]),
+                iterations=np.add.reduceat(z.iterations, starts),
+                residual=np.maximum.reduceat(z.residual, starts),
+                converged=np.logical_and.reduceat(z.converged, starts),
+                fallback_used=np.logical_or.reduceat(z.fallback_used, starts))
+        for report, part in ((report_b, b), (report_z, z)):
+            for f in fields(report):
+                getattr(report, f.name)[idx] = getattr(part, f.name)
+    return n1, report_b, report_z
 
 
 def copra_gammas(split, a_presumed, snapshots, snapshot_policy="averaged"):
@@ -378,9 +370,9 @@ def copra_gammas(split, a_presumed, snapshots, snapshot_policy="averaged"):
     es = split.es[None]
     weights = (per_snapshot_weights(es, snapshots.snapshots[None])
                if snapshot_policy == "per-snapshot-median" else None)
-    return copra_gammas_lanes(_split(es, split.n1, split.rho),
-                              np.asarray(a_presumed, dtype=complex)[None], weights,
-                              snapshot_policy)[0]
+    _, report_b, report_z = copra_gammas_lanes(
+        es, np.asarray(a_presumed, dtype=complex)[None], split.rho, weights, snapshot_policy)
+    return report_b[0], report_z[0]
 
 
 def lambda_o_sq(gamma, es, r):

@@ -384,6 +384,14 @@ class TestTrialCommand:
         assert payload["interferer_doas_deg"] == []
 
 
+    def test_levels_copra_did_not_solve_are_null(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, {"methods": ["optimal"], "trials": 1})
+        assert main(["trial", "--config", cfg, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [payload[k] for k in ("n1", "n2", "gamma_b", "gamma_z")] == [None] * 4
+        assert main(["trial", "--config", cfg]) == 0
+        assert "gamma_b" not in capsys.readouterr().out
+
     def test_zero_sinr_is_minus_infinity_db(self, tmp_path, capsys, monkeypatch):
         # a SINR of exactly 0 is a value, not a failure: -inf dB, exit 0
         real = harness._sinr_lanes

@@ -128,6 +128,55 @@ def test_chunked_scan_moves_no_bits():
         assert _report_bits(report) == _report_bits(alone), i
 
 
+def _copra_stack():
+    """Protocol lanes of 1, 2 and 7 snapshots, which split at different n1,
+    and an all-zero lane: eigensystems, presumed steering vectors and each
+    lane's snapshots."""
+    a, y = [], []
+    for i, n_s in enumerate((1, 7, 2, 7, 1, 2)):
+        sl, lane = arraysim.draw_trials([np.random.default_rng([13, i])], n_s)
+        a.append(sl.a_presumed[0])
+        y.append(lane[0])
+    a.append(a[0])
+    y.append(np.zeros_like(y[0]))
+    cov = [arraysim.sample_covariance(arraysim.SnapshotSet(lane)) for lane in y]
+    return hermitian_evd(np.stack(cov)), np.stack(a), y
+
+
+@pytest.mark.parametrize("policy", ["averaged", "per-snapshot-median"])
+def test_stacked_copra_solve_matches_each_lane_alone(policy):
+    es, a, y = _copra_stack()
+    weights = secular.per_snapshot_weights(es, y)
+    # snapshot-side weights fall back; odd rows take scaled steering-side
+    # ones, which bracket a root, so a lane's median mixes both outcomes
+    for w, d2 in zip(weights, np.abs(lanes_matmul(es.u.conj().swapaxes(-1, -2), a)) ** 2):
+        w[1::2] = d2 * np.arange(2, len(w) + 1, 2)[:, None]
+    n1, report_b, report_z = secular.copra_gammas_lanes(
+        es, a, 0.1, weights if policy != "averaged" else None, policy)
+    assert len(set(n1.tolist()) - {0}) >= 2
+    for i in range(len(a) - 1):
+        split = secular.split_eigenvalues(es[i], 0.1)
+        assert n1[i] == split.n1
+        alone_b = secular.solve_secular(split, es.u[i].conj().T @ a[i])
+        if policy == "averaged":
+            alone_z = secular.solve_secular_weighted(split, es.eigenvalues[i])
+        else:
+            solves = [secular.solve_secular_weighted(split, w) for w in weights[i]]
+            alone_z = secular.SecularSolveReport(
+                gamma=float(np.median([r.gamma for r in solves])),
+                iterations=sum(r.iterations for r in solves),
+                residual=max(r.residual for r in solves),
+                converged=all(r.converged for r in solves),
+                fallback_used=any(r.fallback_used for r in solves))
+        for report, alone in ((report_b[i], alone_b), (report_z[i], alone_z)):
+            assert _report_bits(report) == _report_bits(alone), i
+            assert [type(v) for v in dataclasses.astuple(report)] == [float, int, float, bool, bool]
+    # the all-zero lane does not split
+    assert n1[-1] == 0
+    for report in (report_b[-1], report_z[-1]):
+        assert np.isnan(report.gamma) and not (report.converged or report.fallback_used)
+
+
 def test_chunked_quasi_moves_no_bits():
     es, _, y = _protocol_stack(CHUNKED_LANES)
     # an all-zero spectrum and a zero observation, in different chunks

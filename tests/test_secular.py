@@ -173,6 +173,28 @@ class TestSolve:
             checked += 1
         assert checked >= 5
 
+    def test_spent_budget_is_neither_converged_nor_fallback(self, monkeypatch):
+        # one bisection step leaves the oracle test's first system open
+        monkeypatch.setattr(secular, "MAX_NEWTON_ITERS", 0)
+        monkeypatch.setattr(secular, "MAX_BISECT_ITERS", 1)
+        rng = np.random.default_rng(43)
+        sc = draw_scenario(rng, snr_db=20.0)
+        ss = synthesize_snapshots(sc, 30, rng)
+        es = hermitian_evd(sample_covariance(ss))
+        split = split_eigenvalues(es, 0.1)
+        w = np.abs(es.u.conj().T @ sc.a_presumed) ** 2
+        report = solve_secular_weighted(split, w)
+        assert (report.converged, report.fallback_used, report.iterations) == (False, False, 1)
+        assert report.residual == abs(secular_function_weighted(report.gamma, split, w))
+        # the same lane ahead of one that falls back, in one stacked solve
+        lam = np.stack([es.eigenvalues] * 2)
+        stacked = secular._solve_lanes(lam, lam[:, :split.n1].copy(),
+                                       np.stack([w, es.eigenvalues]), split.beta, split.n2, 0.1)
+        assert stacked.fallback_used.tolist() == [False, True]
+        lane = stacked[0]
+        assert (lane.converged, lane.fallback_used, lane.iterations) == (False, False, 1)
+        assert lane.residual == abs(secular_function_weighted(lane.gamma, split, w))
+
     def test_converged_residual_consistent(self):
         rng = np.random.default_rng(47)
         sc = draw_scenario(rng, snr_db=20.0)
