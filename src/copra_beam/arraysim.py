@@ -11,8 +11,8 @@ draws, sized for the sweep's largest snapshot count; the steering vectors
 and powers run once over the block. synthesize_block then forms the
 snapshots of one sweep point from a prefix of those draws, summed once over
 the block, and Scenario.at_snr sets a point's SOI power without
-redrawing. draw_trials is the one-point case, and draw_scenario and
-synthesize_snapshots the one-lane case. The covariance functions also take
+redrawing. draw_scenario and synthesize_snapshots give one lane of that
+block and its snapshots, bit for bit. The covariance functions also take
 a block of lanes; each lane gets the bits of a single call.
 """
 
@@ -31,11 +31,9 @@ __all__ = [
     "steering_vector",
     "draw_scenario",
     "synthesize_snapshots",
-    "draw_trials",
     "draw_block",
     "synthesize_block",
     "sample_covariance",
-    "interference_noise_covariance",
     "true_covariance",
     "interference_noise_lanes",
 ]
@@ -93,10 +91,6 @@ class SnapshotSet:
     """
 
     snapshots: np.ndarray
-
-    @property
-    def n_snapshots(self):
-        return self.snapshots.shape[-1]
 
 
 def steering_vector(geometry, doa_deg):
@@ -191,7 +185,7 @@ def draw_scenario(
     interference never coincides with the look direction; a guard must lie
     in [0, 90) so that every SOI direction leaves the interferers an arc of
     at least 90 - guard degrees. Noise power is fixed at 1, so snr_db and
-    inr_db directly set the source powers. The one-lane case of draw_trials.
+    inr_db directly set the source powers. Lane 0 of a one-lane draw_block.
     """
     _check_scenario(n_interferers, snr_db, inr_db, soi_error_bound_deg, doa_guard_deg)
     return _scenario_lanes(
@@ -254,7 +248,7 @@ def synthesize_snapshots(scenario, n_s, rng):
 
     Source waveforms are i.i.d. circular complex Gaussian CN(0, 1) scaled by
     the square root of each source power; noise is CN(0, noise_power I).
-    The one-lane case of draw_trials.
+    The one-lane case of draw_block then synthesize_block.
     """
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
@@ -278,11 +272,11 @@ def draw_block(
     Lane i holds what draw_scenario and then synthesize_snapshots draw from
     rngs[i], with the Gaussians drawn for n_s snapshots. For any m <= n_s
     and any SNR, synthesize_block(sl.at_snr(snr_db), z, m) gives, bit for
-    bit, the snapshots draw_trials would draw for m snapshots at that SNR
-    from the same substreams, so a sweep draws each trial once. Only the
-    scalar draws and one call for all Gaussian draws run per trial; the
-    steering vectors and powers run once over the block. Returns the
-    block's Scenario and the (lanes, draws) array z.
+    bit, the snapshots synthesize_snapshots would draw for m snapshots at
+    that SNR from the same substreams, so a sweep draws each trial once.
+    Only the scalar draws and one call for all Gaussian draws run per
+    trial; the steering vectors and powers run once over the block. Returns
+    the block's Scenario and the (lanes, draws) array z.
     """
     _check_scenario(n_interferers, snr_db, inr_db, soi_error_bound_deg, doa_guard_deg)
     if n_s < 1:
@@ -291,18 +285,6 @@ def draw_block(
               for rng in rngs]
     z = _gaussians(rngs, geometry.n_elements, n_interferers, n_s)
     return _scenario_lanes(geometry, angles, snr_db, inr_db), z
-
-
-def draw_trials(rngs, n_s, **scenario):
-    """Scenarios and snapshots of a block of trials, one lane per generator.
-
-    Lane i holds, bit for bit, what draw_scenario and then
-    synthesize_snapshots(scenario, n_s, rngs[i]) draw from rngs[i]; the
-    keyword arguments are draw_block's. Returns the block's Scenario and the
-    (lanes, n_elements, n_s) snapshots.
-    """
-    sl, z = draw_block(rngs, n_s, **scenario)
-    return sl, synthesize_block(sl, z, n_s)
 
 
 def sample_covariance(snapshot_set):
@@ -329,11 +311,6 @@ def interference_noise_lanes(sl):
     for k in range(sl.a_interferers.shape[1]):
         c += _outer(sl.interferer_powers[:, k], sl.a_interferers[:, k])
     return c
-
-
-def interference_noise_covariance(scenario):
-    """Covariance of interference plus noise, built from true interferer directions."""
-    return interference_noise_lanes(scenario[None])[0]
 
 
 def true_covariance(scenario):

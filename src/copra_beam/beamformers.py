@@ -41,8 +41,6 @@ class BeamformerWeights:
 
     w: np.ndarray
     method: str
-    gamma_b: float = None
-    gamma_z: float = None
 
 
 class SingularCovarianceError(np.linalg.LinAlgError):
@@ -196,7 +194,7 @@ def copra_weights(es, gamma_b, gamma_z, a):
     a = np.asarray(a, dtype=complex)
     w = one_lane(*copra_lanes(es[None], np.array([gamma_b], dtype=float),
                               np.array([gamma_z], dtype=float), a[None]))
-    return BeamformerWeights(w=w, method="copra", gamma_b=gamma_b, gamma_z=gamma_z)
+    return BeamformerWeights(w=w, method="copra")
 
 
 def optimal_weights(scenario):

@@ -178,6 +178,9 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError("unknown methods: %r" % unknown)
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError("repeated methods: %r" % repeated)
         if self.gamma_z_policy not in ("averaged", "per-snapshot-median"):
             raise ValueError("gamma_z_policy must be 'averaged' or 'per-snapshot-median'")
         size, array, fields = max(_largest_arrays(self))

@@ -145,19 +145,8 @@ def _kernel(gamma, lam, lam1, weights, beta, n2, derivative):
                - dt_d * t_e - t_d * dt_e)
 
 
-def _secular_terms(gamma, split, weights, derivative=True):
-    """(G, dG/dgamma, scale), or (G, scale) in one pass, of a system at a gamma or 1-D grid."""
-    args = (np.reshape(np.asarray(gamma, dtype=float), (1, -1)),
-            split.es.eigenvalues[None], split.sigma1_sq[None],
-            np.ascontiguousarray(weights, dtype=float)[None], split.beta, split.n2)
-    out = _kernel(*args, derivative=False)
-    if derivative:
-        out = (*_kernel(*args, derivative=True), out[1])
-    return tuple(v.reshape(np.shape(gamma))[()] for v in out)
-
-
 def _checked_weights(split, weights):
-    weights = np.asarray(weights, dtype=float)
+    weights = np.ascontiguousarray(weights, dtype=float)
     if weights.shape != (split.es.n,):
         raise ValueError("weights length %s does not match system size %d"
                          % (weights.shape, split.es.n))
@@ -169,7 +158,9 @@ def secular_function_weighted(gamma, split, weights):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     # G takes the same operations with or without the derivative
-    return _secular_terms(gamma, split, _checked_weights(split, weights), derivative=False)[0]
+    return _kernel(np.full((1, 1), gamma, dtype=float), split.es.eigenvalues[None],
+                   split.sigma1_sq[None], _checked_weights(split, weights)[None], split.beta,
+                   split.n2, derivative=False)[0][0, 0]
 
 
 def secular_function(gamma, split, d):
@@ -297,11 +288,7 @@ def solve_secular_weighted(split, weights):
 
 def solve_secular(split, d):
     """Solve the secular equation for an eigenbasis observation d = U^H r."""
-    d = np.asarray(d, dtype=complex)
-    if d.shape != (split.es.n,):
-        raise ValueError("d length %s does not match system size %d"
-                         % (d.shape, split.es.n))
-    return solve_secular_weighted(split, np.abs(d) ** 2)
+    return solve_secular_weighted(split, np.abs(np.asarray(d, dtype=complex)) ** 2)
 
 
 def per_snapshot_weights(es, y):

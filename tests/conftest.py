@@ -339,14 +339,29 @@ def apply_filtered(es, f, v):
     return es.u @ (fl * (es.u.conj().T @ v))
 
 
+def secular_terms(gamma, split, weights):
+    """(G, dG/dgamma, scale) of a system at a gamma or 1-D grid.
+
+    G and G' come from the kernel's derivative pass and the scale from its
+    scan pass, so that the scan pass's G (secular_function_weighted) checked
+    against this G compares two passes.
+    """
+    args = (np.reshape(np.asarray(gamma, dtype=float), (1, -1)),
+            split.es.eigenvalues[None], split.sigma1_sq[None],
+            np.ascontiguousarray(weights, dtype=float)[None], split.beta, split.n2)
+    g, dg = secular._kernel(*args, derivative=True)
+    scale = secular._kernel(*args, derivative=False)[1]
+    return tuple(v.reshape(np.shape(gamma))[()] for v in (g, dg, scale))
+
+
 def secular_derivative_weighted(gamma, split, weights):
     """Analytic dG/dgamma from the closed-form eigenvalue sums."""
-    return secular._secular_terms(gamma, split, np.asarray(weights, dtype=float))[1]
+    return secular_terms(gamma, split, weights)[1]
 
 
 def secular_scale(gamma, split, weights):
     """Zero-detection scale of G(gamma)."""
-    return secular._secular_terms(gamma, split, weights)[2]
+    return secular_terms(gamma, split, weights)[2]
 
 
 def rls_mse(gamma, es, c_xx, noise_power):

@@ -10,8 +10,7 @@ from copra_beam.arraysim import (
     ArrayGeometry,
     draw_block,
     draw_scenario,
-    draw_trials,
-    interference_noise_covariance,
+    interference_noise_lanes,
     sample_covariance,
     steering_vector,
     synthesize_block,
@@ -48,7 +47,8 @@ def test_block_draw_equals_single_trial_draws(n_elements, n_interferers, soi_err
                   inr_db=inr_db, soi_error_bound_deg=soi_error_bound_deg,
                   doa_guard_deg=doa_guard_deg)
     rngs = [np.random.default_rng(s) for s in seeds]
-    sl, y = draw_trials(rngs, n_s, **kwargs)
+    sl, z = draw_block(rngs, n_s, **kwargs)
+    y = synthesize_block(sl, z, n_s)
     assert y.shape == (len(seeds), n_elements, n_s)
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -86,8 +86,9 @@ def test_sweep_draw_equals_point_draws(n_elements, n_interferers, points, seeds)
     sl, z = draw_block([np.random.default_rng(s) for s in seeds],
                        max(n_s for n_s, _ in points), snr_db=points[0][1], **kwargs)
     for n_s, snr_db in points:
-        want_sl, want_y = draw_trials([np.random.default_rng(s) for s in seeds], n_s,
-                                      snr_db=snr_db, **kwargs)
+        want_sl, want_z = draw_block([np.random.default_rng(s) for s in seeds], n_s,
+                                     snr_db=snr_db, **kwargs)
+        want_y = synthesize_block(want_sl, want_z, n_s)
         at = sl.at_snr(snr_db)
         assert at.geometry == want_sl.geometry
         for f in dataclasses.fields(at):
@@ -261,23 +262,23 @@ def test_sample_covariance_hermitian_psd():
     c = sample_covariance(ss)
     assert np.linalg.norm(c - c.conj().T) < 1e-14 * np.linalg.norm(c)
     assert np.linalg.eigvalsh(c).min() >= -1e-12 * np.abs(c).max()
-    trace = np.sum(np.abs(ss.snapshots) ** 2) / ss.n_snapshots
+    trace = np.sum(np.abs(ss.snapshots) ** 2) / ss.snapshots.shape[-1]
     assert np.isclose(np.trace(c).real, trace)
 
 
 def test_interference_noise_covariance_cases():
     rng = np.random.default_rng(17)
     sc = draw_scenario(rng, n_interferers=0)
-    assert np.allclose(interference_noise_covariance(sc), np.eye(10))
+    assert np.allclose(interference_noise_lanes(sc[None])[0], np.eye(10))
 
     sc1 = draw_scenario(rng, n_interferers=1, inr_db=10.0)
-    c = interference_noise_covariance(sc1)
+    c = interference_noise_lanes(sc1[None])[0]
     eigs = np.sort(np.linalg.eigvalsh(c))[::-1]
     assert np.isclose(eigs[0], 1.0 + 10.0 * 10)
     assert np.allclose(eigs[1:], 1.0)
 
     sc2 = draw_scenario(rng, n_interferers=2, inr_db=20.0)
-    c2 = interference_noise_covariance(sc2)
+    c2 = interference_noise_lanes(sc2[None])[0]
     expected_trace = 10 * (1.0 + sum(sc2.interferer_powers))
     assert np.isclose(np.trace(c2).real, expected_trace)
 
@@ -285,7 +286,7 @@ def test_interference_noise_covariance_cases():
 def test_true_covariance_cases():
     rng = np.random.default_rng(19)
     sc = draw_scenario(rng, snr_db=-400.0)
-    assert np.allclose(true_covariance(sc), interference_noise_covariance(sc),
+    assert np.allclose(true_covariance(sc), interference_noise_lanes(sc[None])[0],
                        atol=1e-30)
     sc2 = draw_scenario(rng, n_interferers=0, snr_db=10.0)
     expected = np.eye(10) + 10.0 * np.outer(sc2.a_true, sc2.a_true.conj())

@@ -14,7 +14,7 @@ from conftest import (
 from copra_beam.arraysim import (
     ArrayGeometry,
     draw_scenario,
-    interference_noise_covariance,
+    interference_noise_lanes,
     sample_covariance,
     steering_vector,
     synthesize_snapshots,
@@ -238,7 +238,7 @@ class TestOptimal:
         for seed in range(8):
             sc = draw_scenario(np.random.default_rng(seed), n_interferers=seed % 4)
             a = sc.a_true
-            c_in_inv_a = np.linalg.solve(interference_noise_covariance(sc), a)
+            c_in_inv_a = np.linalg.solve(interference_noise_lanes(sc[None])[0], a)
             w = optimal_weights(sc).w
             for snr_db in (-LEVEL_DB_BOUND, -10.0, 0.0, 20.0, 40.0, LEVEL_DB_BOUND):
                 at = sc.at_snr(snr_db)

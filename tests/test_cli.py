@@ -127,6 +127,8 @@ class TestConfig:
         ('{"gamma_z_policy": "per-snapshot-median", "n_snapshots": 400000}', "gamma_z_policy"),
         # no method still draws every trial
         ('{"trials": 1000000000000, "methods": []}', "trials"),
+        # a repeated method would be computed and written twice
+        ('{"methods": ["copra", "copra", "optimal"]}', r"repeated methods: \['copra'\]"),
     ])
     def test_bad_values_refused_at_load(self, tmp_path, doc, field):
         path = tmp_path / "bad.json"

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (dense_quasi_gamma, loaded_mvdr_by_decomposition, random_complex_vector,
-                      random_psd, secular_scale)
+                      random_psd, secular_scale, secular_terms)
 from copra_beam import arraysim, harness, secular
 from copra_beam.beamformers import (loaded_mvdr_lanes, mode_powers, mvdr_lanes, quasi_lanes,
                                     quasi_optimal_gamma)
@@ -67,7 +67,7 @@ def test_broadcast_scan_matches_scalar_kernel(case):
     grid = np.geomspace(secular.SCAN_LO_FACTOR * mean_lam,
                         secular.SCAN_HI_FACTOR * mean_lam, secular.SCAN_POINTS)
     for weights in (np.abs(es.u.conj().T @ obs[:, 0]) ** 2, es.eigenvalues.copy()):
-        vals, _, scales = secular._secular_terms(grid, split, weights)
+        vals, _, scales = secular_terms(grid, split, weights)
         scalar_vals = np.array([secular.secular_function_weighted(x, split, weights)
                                 for x in grid])
         scalar_scales = np.array([secular_scale(x, split, weights)
@@ -102,7 +102,8 @@ def _protocol_stack(lanes, n_s=30):
     """Sample-covariance eigensystems, presumed steering vectors and
     snapshots of protocol trials, one lane each."""
     rngs = [np.random.default_rng([11, i]) for i in range(lanes)]
-    sl, y = arraysim.draw_trials(rngs, n_s)
+    sl, z = arraysim.draw_block(rngs, n_s)
+    y = arraysim.synthesize_block(sl, z, n_s)
     return hermitian_evd(arraysim.sample_covariance(arraysim.SnapshotSet(y))), sl.a_presumed, y
 
 
@@ -134,7 +135,8 @@ def _copra_stack():
     lane's snapshots."""
     a, y = [], []
     for i, n_s in enumerate((1, 7, 2, 7, 1, 2)):
-        sl, lane = arraysim.draw_trials([np.random.default_rng([13, i])], n_s)
+        sl, z = arraysim.draw_block([np.random.default_rng([13, i])], n_s)
+        lane = arraysim.synthesize_block(sl, z, n_s)
         a.append(sl.a_presumed[0])
         y.append(lane[0])
     a.append(a[0])
@@ -280,7 +282,8 @@ def test_snapshot_powers_are_n_s_times_the_eigenvalues():
         for snr_db in (-10.0, 10.0, 30.0):
             for n_s in (3, 5, 10, 30, 100):
                 rngs = [np.random.default_rng([seed, i]) for i in range(20)]
-                sl, y = arraysim.draw_trials(rngs, n_s, snr_db=snr_db)
+                sl, z = arraysim.draw_block(rngs, n_s, snr_db=snr_db)
+                y = arraysim.synthesize_block(sl, z, n_s)
                 es = hermitian_evd(arraysim.sample_covariance(arraysim.SnapshotSet(y)))
                 p, zero = mode_powers(es, y)
                 p_lam = n_s * es.eigenvalues

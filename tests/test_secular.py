@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dense_secular_value,
@@ -9,6 +11,7 @@ from conftest import (
     random_psd,
     rls_mse,
     secular_derivative_weighted,
+    secular_terms,
 )
 from copra_beam import secular
 from copra_beam.arraysim import draw_scenario, sample_covariance, synthesize_snapshots
@@ -108,6 +111,10 @@ class TestSecularFunction:
             secular_function(0.0, split, np.ones(2))
         with pytest.raises(ValueError):
             secular_function(1.0, split, np.ones(3))
+        with pytest.raises(ValueError, match="weights length .* does not match system size"):
+            solve_secular(split, np.ones(3))
+        with pytest.raises(ValueError, match="weights length .* does not match system size"):
+            solve_secular_weighted(split, np.ones(3))
 
     def test_analytic_derivative_matches_finite_difference(self):
         rng = np.random.default_rng(41)
@@ -138,7 +145,7 @@ class TestSecularFunction:
             del calls[:]
             g = secular_function_weighted(gamma, split, w)
             assert len(calls) == 1
-            assert float(g).hex() == float(secular._secular_terms(gamma, split, w)[0]).hex()
+            assert float(g).hex() == float(secular_terms(gamma, split, w)[0]).hex()
 
 
 class TestSolve:
@@ -247,6 +254,82 @@ class TestCopraGammas:
         sc, ss, es, split = self._setup(67, 5)
         with pytest.raises(ValueError):
             copra_gammas(split, sc.a_presumed, ss, snapshot_policy="latest")
+
+
+# diagonal eigensystems of 2 to 12 eigenvalues over nine decades; SPECTRA
+# also holds zeros, so rank-deficient spectra are drawn too
+EIGENVALUE = st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e)
+POSITIVE = st.lists(EIGENVALUE, min_size=2, max_size=12)
+SPECTRA = st.lists(st.one_of(st.just(0.0), EIGENVALUE), min_size=2, max_size=12).filter(any)
+
+
+def _split(eigenvalues, rho):
+    return split_eigenvalues(_diag_es(sorted(eigenvalues, reverse=True)), rho)
+
+
+def _c_infinity(split, w):
+    """c_inf = n sum(lambda w) - sum(w) sum_{i <= n1} lambda_i, the limit of
+    gamma^3 G(gamma), and the size of its two terms."""
+    a = split.es.n * np.sum(split.es.eigenvalues * w)
+    b = np.sum(w) * np.sum(split.sigma1_sq)
+    return a - b, a + b
+
+
+class TestRootFacts:
+    """The closed-form facts on when G has a positive root. Criterion 3
+    checks only converged solves; these cover the fallbacks too."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(SPECTRA, st.floats(0.05, 0.5))
+    def test_snapshot_side_limit_is_nonnegative(self, eigenvalues, rho):
+        # w = lambda: c_inf >= 0 by Cauchy-Schwarz, and gamma^3 G -> c_inf
+        split = _split(eigenvalues, rho)
+        w = split.es.eigenvalues.copy()
+        c_inf, size = _c_infinity(split, w)
+        assert c_inf >= -1e-12 * size
+        gamma = 1e6 * split.es.eigenvalues[0]
+        assert abs(gamma**3 * secular_function_weighted(gamma, split, w) - c_inf) <= 1e-5 * size
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(POSITIVE, st.floats(0.01, 0.99))
+    def test_untruncated_snapshot_side_falls_back(self, eigenvalues, fraction):
+        # n2 = 0 and w = lambda: G = gamma/2 sum_ij (lambda_i - lambda_j)^2
+        # / ((lambda_i + gamma)^2 (lambda_j + gamma)^2) >= 0, so no root.
+        # rho below min(sigma) / mean(sigma) keeps every mode
+        sigma = np.sqrt(eigenvalues)
+        split = _split(eigenvalues, fraction * sigma.min() / sigma.mean())
+        assert split.n2 == 0
+        w = split.es.eigenvalues.copy()
+        mean = w.mean()
+        grid = np.geomspace(secular.SCAN_LO_FACTOR * mean, secular.SCAN_HI_FACTOR * mean,
+                            secular.SCAN_POINTS)
+        g, _, scale = secular_terms(grid, split, w)
+        assert np.all(g >= -1e-12 * scale)
+        report = solve_secular_weighted(split, w)
+        assert report.fallback_used and not report.converged
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(POSITIVE, st.floats(0.05, 0.5), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+    def test_guaranteed_root_converges_to_a_dense_root(self, eigenvalues, rho, seed, boost):
+        # every eigenvalue positive and n2 > 0: G -> +inf as gamma -> 0+, so
+        # c_inf < 0 guarantees a root. Weight on the trivial modes, scaled by
+        # 10**boost, makes c_inf negative
+        split = _split(eigenvalues, rho)
+        assume(split.n2 > 0)
+        d = random_complex_vector(np.random.default_rng(seed), split.es.n)
+        d[split.n1:] *= 10.0 ** boost
+        assume(_c_infinity(split, np.abs(d) ** 2)[0] < 0)
+        lam = split.es.eigenvalues
+        assert dense_secular_value(1e-6 * lam[-1], split, d) > 0
+        # the scan looks for the root on [SCAN_LO_FACTOR, SCAN_HI_FACTOR] *
+        # mean(lambda) only: the root must lie there
+        assume(dense_secular_value(secular.SCAN_LO_FACTOR * lam.mean(), split, d) > 0)
+        assume(dense_secular_value(secular.SCAN_HI_FACTOR * lam.mean(), split, d) < 0)
+        report = solve_secular(split, d)
+        assert report.converged and not report.fallback_used
+        below, above = (dense_secular_value(report.gamma * f, split, d)
+                        for f in (1 - 1e-6, 1 + 1e-6))
+        assert np.sign(below) != np.sign(above)
 
 
 class TestLambdaO:
