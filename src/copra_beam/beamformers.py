@@ -83,12 +83,15 @@ def copra_lanes(es, gamma_b, gamma_z, a):
     w = U diag(lam / ((lam+gamma_b)(lam+gamma_z))) U^H a, normalized by
     a^H U diag(lam / (lam+gamma_b)^2) U^H a, so that w^H y reproduces the
     inner-product form b^H z / (b^H b) of the regularized beamformer output.
-    gamma_b and gamma_z hold one level per lane. Returns (w, errors).
+    gamma_b and gamma_z hold one level per lane; a lane without a positive
+    eigenvalue, which cannot be split, fails. Returns (w, errors).
     """
     lam = es.eigenvalues
     gb, gz = gamma_b[:, None], gamma_z[:, None]
-    errors = flag_lanes(es.errors.tolist(), (gamma_b < 0) | (gamma_z < 0),
-                        lambda i: ValueError("regularization parameters must be >= 0"))
+    errors = flag_lanes(es.errors.tolist(), ~(lam[:, 0] > 0),
+                        lambda i: ValueError("cannot split an all-zero spectrum"))
+    flag_lanes(errors, (gamma_b < 0) | (gamma_z < 0),
+               lambda i: ValueError("regularization parameters must be >= 0"))
     flag_lanes(errors, ((gamma_b == 0) | (gamma_z == 0)) & (lam[:, -1] <= _PD_RTOL * lam[:, 0]),
                lambda i: SingularCovarianceError(
                    "zero regularization requires a numerically invertible spectrum"))
@@ -117,23 +120,24 @@ def optimal_lanes(c_in, a_true):
 
 def mode_powers(es, r):
     """quasi_lanes' input: per lane of a (lanes, n) or (lanes, n, n_obs) stack
-    r, the powers p_i = sum_t |(U^H r)_it|^2 and whether r is zero."""
+    r, the powers p_i = sum_t |(U^H r)_it|^2."""
     lanes, n = es.eigenvalues.shape
     p = np.abs(lanes_matmul(_uh(es), r).reshape(lanes, n, -1))
     p **= 2
-    return np.sum(p, axis=-1), ~r.reshape(lanes, -1).any(axis=-1)
+    return np.sum(p, axis=-1)
 
 
 def quasi_lanes(es, observations, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
     """Quasi-optimality selector on a geometric regularization grid.
 
-    For each observation, given as the (p, zero) mode_powers of an
-    observation stack r, returns (gamma, errors): each lane's grid point
-    minimizing the norm of the successive difference of the regularized
-    estimate filt(gamma) * (U^H r); ties break toward smaller values. A
-    matrix r takes the Frobenius norm. The squared norm is the closed form
-    p @ diff(filt)^2, so no estimate is formed, and the grid and
-    diff(filt)^2 come from the spectrum alone, shared by every observation.
+    For each observation, given as the mode_powers p of an observation
+    stack r, returns (gamma, errors): each lane's grid point minimizing the
+    norm of the successive difference of the regularized estimate
+    filt(gamma) * (U^H r); ties break toward smaller values, and an all-zero
+    p (r zero, or its powers underflow) fails. A matrix r takes the
+    Frobenius norm. The squared norm is the closed form p @ diff(filt)^2, so
+    no estimate is formed, and the grid and diff(filt)^2 come from the
+    spectrum alone, shared by every observation.
     Only p depends on r's width (n_s * lambda for the n_s snapshots whose
     sample covariance es decomposes), so lanes may differ in n_obs.
     """
@@ -148,8 +152,9 @@ def quasi_lanes(es, observations, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
         high = ~(hi_factor * lam[:, 0] < np.inf)
     top = np.where(low | high, 1.0, lam[:, 0])
     errors = []
-    for _, zero in observations:
-        errs = flag_lanes(es.errors.tolist(), zero, lambda i: ValueError("observation is zero"))
+    for p in observations:
+        errs = flag_lanes(es.errors.tolist(), ~p.any(axis=-1),
+                          lambda i: ValueError("observation is zero"))
         errors.append(flag_lanes(errs, low | high, lambda i: ValueError(
             "cannot select gamma for an all-zero spectrum" if flat[i] else
             "quasi grid starts at zero: lo_factor * %g underflows" % lam[i, 0] if low[i] else
@@ -167,7 +172,7 @@ def quasi_lanes(es, observations, n_grid=200, lo_factor=1e-8, hi_factor=10.0):
         dfilt_sq = np.diff(np.sqrt(sub)[:, :, None] / (sub[:, :, None] + grid[c, None, :]),
                            axis=-1)
         dfilt_sq **= 2
-        for (p, _), pick in zip(observations, picks):
+        for p, pick in zip(observations, picks):
             pick.append(np.argmin(np.sqrt(lanes_matmul(p[c], dfilt_sq)), axis=-1))
         del dfilt_sq
     rows = np.arange(lanes)

@@ -21,6 +21,7 @@ methods see the same scenario and noise realizations, within a point and
 across points (paired comparison).
 """
 
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import arraysim, beamformers, secular
 from .beamformers import SingularCovarianceError
 from .config import ExperimentConfig
-from .linalg import BLOCK, flag_lanes, hermitian_evd
+from .linalg import BLOCK, hermitian_evd
 
 __all__ = ["TrialRecord", "PointStats", "SweepResult", "output_sinr",
            "run_trials", "run_trial", "run_sweep"]
@@ -141,14 +142,14 @@ def _run_points(cfg, points, indices, master_seed):
     Each trial is drawn once, for the largest snapshot count; the steering
     vectors, the interference-plus-noise covariances c_in and, from them,
     the clairvoyant weights are built once. Each distinct point synthesizes
-    its snapshots on its own, keeps their sample covariances and whether
-    each lane's are zero, and drops them before the next point's are made
-    (the per-snapshot-median policy keeps them). Every later stage runs once
-    over the stack of every distinct point's lanes, point-major, from one
-    eigendecomposition of its sample covariances, which flags a failed lane
-    in es.errors; a repeated point gets its first occurrence's columns, so
-    a point's columns are those it gets alone. Every kernel reports its
-    failures per lane, so a lane that fails fails in its own row only. A
+    its snapshots on its own, keeps their sample covariances and drops them
+    before the next point's are made (the per-snapshot-median policy keeps
+    them). Every later stage runs once over the stack of every distinct
+    point's lanes, point-major, from one eigendecomposition of its sample
+    covariances, which flags a failed lane in es.errors; a repeated point
+    gets its first occurrence's columns, so a point's columns are those it
+    gets alone. Each method runs its kernel over the whole stack, which
+    reports failures per lane, so a lane that fails fails in its row only. A
     point's columns are a dict of per-lane arrays: (lanes, methods) sinr,
     NaN where a method failed, failures, each message or None, and fallback
     (copra on either side, sample MVDR loaded); copra's n1 (0 where it did
@@ -159,16 +160,14 @@ def _run_points(cfg, points, indices, master_seed):
     sl, z = _draw_block(cfg, indices, master_seed, max(n_s for _, n_s in keys))
     c_in = arraysim.interference_noise_lanes(sl)
     keep = "copra" in cfg.methods and cfg.gamma_z_policy == "per-snapshot-median"
-    cov, y_zero, snapshots = [], [], []
+    cov, snapshots = [], []
     for snr_db, n_s in keys:
         y = arraysim.synthesize_block(sl.at_snr(snr_db), z, n_s)
         cov.append(arraysim.sample_covariance(arraysim.SnapshotSet(y)))
-        y_zero.append(~y.reshape(len(y), -1).any(axis=-1))
         if keep:
             snapshots += list(y)
         del y  # before the next point's are made
     es = hermitian_evd(np.concatenate(cov))
-    y_zero = np.concatenate(y_zero)
     snapshot_weights = secular.per_snapshot_weights(es, snapshots) if keep else None
     block = len(indices)
     lanes = len(keys) * block
@@ -185,13 +184,10 @@ def _run_points(cfg, points, indices, master_seed):
             w, errors = beamformers.mvdr_lanes(es, a)
             mvdr_loaded = np.array([isinstance(e, SingularCovarianceError) for e in errors])
             if mvdr_loaded.any():
-                # minimal loading keeps the baseline plottable at small n_s
-                idx = np.flatnonzero(mvdr_loaded)
-                loading = 1e-8 * es.eigenvalues[idx].sum(axis=-1) / cfg.n_elements
-                w[idx], loaded_errors = beamformers.loaded_mvdr_lanes(
-                    es[idx], a[idx], loading)
-                for i, e in zip(idx, loaded_errors):
-                    errors[i] = e
+                # minimal loading keeps the baseline plottable at small n_s;
+                # adding 0 leaves every other lane's eigenvalues, and bits, as they are
+                loading = 1e-8 * es.eigenvalues.sum(axis=-1) / cfg.n_elements
+                w, errors = beamformers.loaded_mvdr_lanes(es, a, np.where(mvdr_loaded, loading, 0))
             fallback[:, m] = mvdr_loaded
         elif method == "diagonal-loading":
             loading = cfg.diagonal_loading * np.tile(sl.noise_power, len(keys))
@@ -201,20 +197,13 @@ def _run_points(cfg, points, indices, master_seed):
                 es, a, cfg.rho, snapshot_weights, snapshot_policy=cfg.gamma_z_policy)
             gamma_b, gamma_z = report_b.gamma, report_z.gamma
             fallback_b, fallback_z = report_b.fallback_used, report_z.fallback_used
-            errors = flag_lanes(es.errors.tolist(), n1 == 0, lambda i: ValueError(
-                "cannot split an all-zero spectrum"))
-            idx = np.flatnonzero(n1)
-            w = np.zeros_like(a)
-            w[idx], split_errors = beamformers.copra_lanes(
-                es[idx], gamma_b[idx], gamma_z[idx], a[idx])
-            for i, e in zip(idx, split_errors):
-                errors[i] = e
+            w, errors = beamformers.copra_lanes(es, gamma_b, gamma_z, a)
             fallback[:, m] = fallback_b | fallback_z
         elif method == "quasi-rls":
             # the snapshot side's powers sum_t |(U^H y)_it|^2 are n_s * lambda_i
             q, n_s = cfg.quasi_grid, np.repeat([k for _, k in keys], block)
             (gb, errors_b), (gz, errors_z) = beamformers.quasi_lanes(
-                es, (beamformers.mode_powers(es, a), (n_s[:, None] * es.eigenvalues, y_zero)),
+                es, (beamformers.mode_powers(es, a), n_s[:, None] * es.eigenvalues),
                 q.points, q.lo_factor, q.hi_factor)
             w, errors = beamformers.copra_lanes(es, gb, gz, a)
             errors = [eb or ez or e for eb, ez, e in zip(errors_b, errors_z, errors)]
@@ -323,8 +312,8 @@ def run_sweep(cfg, sweep_kind, master_seed=None):
     if parallel:
         # imported here: only a pool sweep pays for the module's import
         from concurrent.futures import ProcessPoolExecutor
-    # no more workers than jobs: the pool forks every worker at the first submit
-    with (ProcessPoolExecutor(min(cfg.workers, len(blocks))) if parallel
+    # no more workers than jobs or CPUs: the pool forks every worker at the first submit
+    with (ProcessPoolExecutor(min(cfg.workers, len(blocks), os.cpu_count() or 1)) if parallel
           else nullcontext()) as pool:
         done = (pool.map if pool else map)(
             _sweep_block, [cfg] * len(blocks), [points] * len(blocks), blocks,

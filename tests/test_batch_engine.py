@@ -120,9 +120,8 @@ def _neighbours_unchanged(records):
             assert _fields(records[i]) == _fields(alone[i]), i
 
 
-def test_zeroed_lane_fails_alone(monkeypatch):
-    # lane BAD's covariance is zero: its copra split, quasi selector and
-    # sample MVDR fail; its neighbours in the block must not notice
+def _zero_lane(monkeypatch):
+    """Make lane BAD's sample covariance zero."""
     real = arraysim.sample_covariance
 
     def zero_lane(snapshot_set):
@@ -131,6 +130,12 @@ def test_zeroed_lane_fails_alone(monkeypatch):
         return c
 
     monkeypatch.setattr(arraysim, "sample_covariance", zero_lane)
+
+
+def test_zeroed_lane_fails_alone(monkeypatch):
+    # lane BAD's covariance is zero: its copra split, quasi selector and
+    # sample MVDR fail; its neighbours in the block must not notice
+    _zero_lane(monkeypatch)
     records = run_trials(NEIGHBOURS, INDICES, SEED)
     monkeypatch.undo()
     bad = records[BAD]
@@ -139,6 +144,24 @@ def test_zeroed_lane_fails_alone(monkeypatch):
     assert "singular" in bad.failures["sample-mvdr"]
     assert bad.sinr["optimal"] is not None
     _neighbours_unchanged(records)
+
+
+def test_every_method_kernel_sees_the_whole_block(monkeypatch):
+    # lane BAD's sample MVDR is loaded and its copra split fails, while its
+    # neighbours' are not: the kernels, not the harness, tell these lanes
+    # apart, so each runs over every lane of the block
+    _zero_lane(monkeypatch)
+    lanes = {}
+    for name in ("loaded_mvdr_lanes", "copra_lanes"):
+        def spy(es, *args, real=getattr(beamformers, name), name=name):
+            lanes.setdefault(name, []).append(len(es.eigenvalues))
+            return real(es, *args)
+        monkeypatch.setattr(beamformers, name, spy)
+    records = run_trials(NEIGHBOURS, INDICES, SEED)
+    monkeypatch.undo()
+    assert records[BAD].mvdr_loaded and records[BAD].n1 is None
+    # sample MVDR's loading and diagonal loading; copra and quasi-RLS
+    assert lanes == {"loaded_mvdr_lanes": [10, 10], "copra_lanes": [10, 10]}
 
 
 def _eigh_failing_lane(target):

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -204,12 +205,42 @@ class TestRunSweep:
                 super().__init__(max_workers, *args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        # the pool is capped at the CPU count too: more CPUs than jobs
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         cfg = _fast_cfg(trials=13)
         serial = run_sweep(cfg, "snapshots", master_seed=3)
         pooled = run_sweep(dataclasses.replace(cfg, workers=4), "snapshots", master_seed=3)
         assert sizes == [2]
         assert repr(pooled.rows) == repr(serial.rows)
         assert pooled.config.workers == 4
+
+    def test_pool_no_larger_than_the_cpu_count(self, monkeypatch):
+        # 64 workers over 13 blocks on 3 CPUs must open a pool of 3; the
+        # fake pool maps in this process, so it starts no process
+        import concurrent.futures
+        sizes = []
+
+        class InProcess:
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        cfg = _fast_cfg(trials=13 * harness.BLOCK)
+        serial = run_sweep(cfg, "snapshots", master_seed=3)
+        pooled = run_sweep(dataclasses.replace(cfg, workers=64), "snapshots", master_seed=3)
+        assert sizes == [3]
+        assert repr(pooled.rows) == repr(serial.rows)
+        assert pooled.config.workers == 64
 
     def test_optimal_curve_monotone_in_snr(self):
         cfg = _fast_cfg(trials=20, snr_db_grid=(-10.0, 0.0, 10.0, 20.0))

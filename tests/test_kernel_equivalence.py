@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from conftest import (dense_quasi_gamma, loaded_mvdr_by_decomposition, random_complex_vector,
                       random_psd, secular_scale, secular_terms)
 from copra_beam import arraysim, harness, secular
-from copra_beam.beamformers import (loaded_mvdr_lanes, mode_powers, mvdr_lanes, quasi_lanes,
-                                    quasi_optimal_gamma)
+from copra_beam.beamformers import (copra_lanes, loaded_mvdr_lanes, mode_powers, mvdr_lanes,
+                                    quasi_lanes, quasi_optimal_gamma)
 from copra_beam.linalg import LANE_CHUNK, HermitianEigensystem, hermitian_evd, lanes_matmul
 
 SPECTRA = ("random", "rank-deficient", "repeated", "zeros", "snapshots")
@@ -179,13 +179,31 @@ def test_stacked_copra_solve_matches_each_lane_alone(policy):
         assert np.isnan(report.gamma) and not (report.converged or report.fallback_used)
 
 
+def test_copra_weights_fail_an_unsplit_lane_alone():
+    # the all-zero lane comes with the NaN levels copra_gammas_lanes gives it
+    es, a, _ = _copra_stack()
+    _, report_b, report_z = secular.copra_gammas_lanes(es, a, 0.1)
+    gamma_b, gamma_z = report_b.gamma, report_z.gamma
+    assert np.isnan(gamma_b[-1]) and np.isnan(gamma_z[-1])
+    w, errors = copra_lanes(es, gamma_b, gamma_z, a)
+    assert type(errors[-1]) is ValueError
+    assert str(errors[-1]) == "cannot split an all-zero spectrum"
+    for i in range(len(a) - 1):
+        w_1, errors_1 = copra_lanes(es[i:i + 1], gamma_b[i:i + 1], gamma_z[i:i + 1], a[i:i + 1])
+        assert w[i].tobytes() == w_1[0].tobytes(), i
+        assert repr(errors[i]) == repr(errors_1[0]), i
+
+
 def test_chunked_quasi_moves_no_bits():
     es, _, y = _protocol_stack(CHUNKED_LANES)
-    # an all-zero spectrum and a zero observation, in different chunks
-    flat, zero = LANE_CHUNK + 1, 2 * LANE_CHUNK + 2
+    # an all-zero spectrum, a zero observation and a nonzero observation
+    # whose mode powers underflow to zero, in different chunks
+    flat, zero, tiny = LANE_CHUNK + 1, 2 * LANE_CHUNK + 2, 3
     es.eigenvalues[flat] = 0.0
     r = y[:, :, 0].copy()
     r[zero] = 0.0
+    r[tiny] *= 1e-170
+    assert r[tiny].any()
     stacked = quasi_lanes(es, (mode_powers(es, r), mode_powers(es, y)))
     for i in range(CHUNKED_LANES):
         lane = es[i:i + 1]
@@ -195,6 +213,9 @@ def test_chunked_quasi_moves_no_bits():
             assert repr(errors[i]) == repr(errors_1[0]), i
     assert "all-zero spectrum" in str(stacked[1][1][flat])
     assert "observation is zero" in str(stacked[0][1][zero])
+    assert "observation is zero" in str(stacked[0][1][tiny])
+    with pytest.raises(ValueError, match="observation is zero"):
+        quasi_optimal_gamma(es[tiny], r[tiny])
 
 
 def test_quasi_grid_starting_at_zero_fails_only_its_lane():
@@ -285,8 +306,8 @@ def test_snapshot_powers_are_n_s_times_the_eigenvalues():
                 sl, z = arraysim.draw_block(rngs, n_s, snr_db=snr_db)
                 y = arraysim.synthesize_block(sl, z, n_s)
                 es = hermitian_evd(arraysim.sample_covariance(arraysim.SnapshotSet(y)))
-                p, zero = mode_powers(es, y)
+                p = mode_powers(es, y)
                 p_lam = n_s * es.eigenvalues
                 assert np.all(np.abs(p - p_lam) <= 1e-12 * p.max(axis=-1, keepdims=True))
-                (gamma, _), (gamma_lam, _) = quasi_lanes(es, [(p, zero), (p_lam, zero)])
+                (gamma, _), (gamma_lam, _) = quasi_lanes(es, [p, p_lam])
                 assert gamma.tobytes() == gamma_lam.tobytes(), (seed, snr_db, n_s)
