@@ -6,7 +6,7 @@ Run:  python3 demos/snr_sweep.py   (writes into demos/out/)
 
 from pathlib import Path
 
-from copra_beam.cli import _sweep_svg, _write_meta, _write_sweep_csv
+from copra_beam.cli import write_sweep
 from copra_beam.config import ExperimentConfig
 from copra_beam.harness import run_sweep
 
@@ -19,11 +19,7 @@ def main():
     result = run_sweep(cfg, "snr")
 
     out = Path(__file__).parent / "out"
-    out.mkdir(exist_ok=True)
-    _write_sweep_csv(result, out / "sweep.csv")
-    points = [(r.method, r.value, r.mean_sinr_db) for r in result.rows]
-    (out / "sweep.svg").write_text(_sweep_svg(points, result.sweep_variable))
-    _write_meta(result, out / "meta.json")
+    write_sweep(result, out)
 
     print("mean output SINR (dB) by method:")
     header = "SNR(dB)".rjust(8) + "".join(m.rjust(18) for m in cfg.methods)

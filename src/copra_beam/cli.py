@@ -1,5 +1,8 @@
 """Command-line frontend: sweep orchestration, CSV/metadata persistence,
 single-trial inspection, and SVG plot emission.
+
+Only the commands that run trials import the harness, and so numpy: `plot`,
+`--help` and a config refused at load run on the standard library.
 """
 
 import argparse
@@ -12,7 +15,6 @@ from pathlib import Path
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .harness import run_sweep, run_trial
 from .svgplot import render_line_chart
 
 CSV_HEADER = ["sweep_var", "value", "method", "mean_sinr_db", "stderr_db",
@@ -24,8 +26,12 @@ def _num(x):
     return "%.9g" % x
 
 
-def _write_sweep_csv(result, path):
-    with open(path, "w", newline="") as fh:
+def write_sweep(result, out):
+    """Create directory out and write a SweepResult's sweep.csv, sweep.svg
+    and meta.json into it."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for row in result.rows:
@@ -34,97 +40,73 @@ def _write_sweep_csv(result, path):
                 _num(row.mean_sinr_db), _num(row.stderr_db),
                 row.trials, _num(row.fallback_rate),
             ])
-
-
-def _write_meta(result, path):
-    fallback_rates = {}
-    for row in result.rows:
-        rates = fallback_rates.setdefault(row.method, [])
-        rates.append(row.fallback_rate)
+    points = [(r.method, r.value, r.mean_sinr_db) for r in result.rows]
+    (out / "sweep.svg").write_text(_sweep_svg(points, result.sweep_variable))
+    # each method's rates in point order
+    rates = {m: [r.fallback_rate for r in result.rows if r.method == m]
+             for m in sorted({r.method for r in result.rows})}
     meta = {
         "version": __version__,
         "seed": result.seed,
         "sweep_variable": result.sweep_variable,
         "trials": result.trials,
         "config": result.config.to_dict(),
-        "fallback_rate_per_method": {
-            m: sum(v) / len(v) for m, v in sorted(fallback_rates.items())
-        },
+        "fallback_rate_per_method": {m: sum(v) / len(v) for m, v in rates.items()},
     }
-    with open(path, "w") as fh:
+    with open(out / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _sweep_svg(points, sweep_variable):
-    """Chart of (method, value, mean_db) points, one series per method."""
-    series = {}
-    for method, value, mean_db in points:
-        xs, ys = series.setdefault(method, ([], []))
-        xs.append(value)
-        ys.append(mean_db)
+    """Chart of (method, value, mean_db) points, one series per method, in
+    order of first appearance."""
+    series = [(m, *zip(*[(x, y) for pm, x, y in points if pm == m]))
+              for m in dict.fromkeys(p[0] for p in points)]
     x_label = "input SNR (dB)" if sweep_variable == "snr" else "number of snapshots"
-    return render_line_chart([(m, xs, ys) for m, (xs, ys) in series.items()],
-                             x_label, "mean output SINR (dB)",
+    return render_line_chart(series, x_label, "mean output SINR (dB)",
                              title="Output SINR vs %s" % x_label)
 
 
 def _load_cfg(args):
+    """The --config file's config (or the defaults) with every flag the
+    command was given applied, and checked, as the config field it names."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    given = {name: getattr(args, name, None)
+             for name in ("seed", "workers", "snr_db", "n_interferers")}
+    return dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_sweep(args):
     cfg = _load_cfg(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result = run_sweep(cfg, args.kind, master_seed=cfg.seed)
-    _write_sweep_csv(result, out / "sweep.csv")
-    points = [(r.method, r.value, r.mean_sinr_db) for r in result.rows]
-    (out / "sweep.svg").write_text(_sweep_svg(points, result.sweep_variable))
-    _write_meta(result, out / "meta.json")
+    from . import harness  # numpy only once the config loads
+    write_sweep(harness.run_sweep(cfg, args.kind), args.out)
     return 0
 
 
 def cmd_trial(args):
     cfg = _load_cfg(args)
-    overrides = {}
-    if args.no_interferers:
-        overrides["n_interferers"] = 0
-    if args.snr_db is not None:
-        overrides["snr_db"] = args.snr_db
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    from .harness import run_trial
     record = run_trial(cfg, 0, cfg.seed)
     solved = record.n1 is not None  # copra solves its levels only where it splits
-
-    payload = {
-        "seed": cfg.seed,
-        "soi_doa_deg": record.soi_doa_deg,
-        "soi_error_deg": record.soi_error_deg,
-        "interferer_doas_deg": list(record.interferer_doas_deg),
-        "n1": record.n1,
-        "n2": record.n2,
-        "gamma_b": record.gamma_b if solved else None,
-        "gamma_z": record.gamma_z if solved else None,
-        "fallback_b": record.fallback_b,
-        "fallback_z": record.fallback_z,
-        # a SINR of 0 is a value too: -inf dB
-        "sinr_db": {
-            m: (None if v is None else 10.0 * math.log10(v) if v > 0 else -math.inf)
-            for m, v in record.sinr.items()
-        },
-        "failures": record.failures,
-    }
+    # a SINR of 0 is a value too: -inf dB
+    sinr_db = {m: (None if v is None else 10.0 * math.log10(v) if v > 0 else -math.inf)
+               for m, v in record.sinr.items()}
     if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        json.dump({
+            "seed": cfg.seed,
+            "soi_doa_deg": record.soi_doa_deg,
+            "soi_error_deg": record.soi_error_deg,
+            "interferer_doas_deg": list(record.interferer_doas_deg),
+            "n1": record.n1,
+            "n2": record.n2,
+            "gamma_b": record.gamma_b if solved else None,
+            "gamma_z": record.gamma_z if solved else None,
+            "fallback_b": record.fallback_b,
+            "fallback_z": record.fallback_z,
+            "sinr_db": sinr_db,
+            "failures": record.failures,
+        }, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return 0
 
@@ -140,7 +122,7 @@ def cmd_trial(args):
         print("  gamma_b=%.6g%s  gamma_z=%.6g%s" %
               (record.gamma_b, " (fallback)" if record.fallback_b else "",
                record.gamma_z, " (fallback)" if record.fallback_z else ""))
-    for method, value in payload["sinr_db"].items():
+    for method, value in sinr_db.items():
         if value is None:
             print("  %-16s failed: %s" % (method, record.failures[method]))
         else:
@@ -185,7 +167,8 @@ def build_parser():
     p_trial.add_argument("--config", help="JSON config file")
     p_trial.add_argument("--seed", type=int, default=None)
     p_trial.add_argument("--json", action="store_true")
-    p_trial.add_argument("--no-interferers", action="store_true")
+    p_trial.add_argument("--no-interferers", dest="n_interferers", action="store_const",
+                         const=0)
     p_trial.add_argument("--snr-db", type=float, default=None)
     p_trial.set_defaults(func=cmd_trial)
 

@@ -68,6 +68,9 @@ def _largest_arrays(cfg):
     return [
         (BLOCK * 2 * (1 + cfg.n_interferers + n) * max(cfg.n_snapshots, *cfg.snapshot_grid),
          "one block's Gaussian draws", "n_elements, n_interferers, n_snapshots, snapshot_grid"),
+        # synthesize_block concatenates the SOI's to the interferers' (lanes, K, n)
+        (BLOCK * 2 * (1 + cfg.n_interferers) * n, "one block's steering vectors",
+         "n_elements, n_interferers"),
         (BLOCK * points * 2 * n * n, "one block's covariances", "n_elements, " + grid),
         (LANE_CHUNK * n * cfg.quasi_grid.points, "one quasi chunk's filter grid",
          "n_elements, quasi_grid.points"),
@@ -225,6 +228,9 @@ def load_config(path):
         except json.JSONDecodeError as exc:
             raise ValueError("config parse failure at line %d: %s"
                              % (exc.lineno, exc.msg)) from exc
+        except RecursionError:
+            # json's decoder recurses once per nested array or object
+            raise ValueError("config nests too deeply to parse") from None
     if not isinstance(data, dict):
         raise ValueError("config document must be a JSON object")
     return config_from_dict(data)

@@ -44,7 +44,7 @@ def reference_sweep(kind, workdir):
     cfg_path = workdir / "cfg.json"
     cfg_path.write_text(json.dumps(REFERENCE_SWEEPS[kind].to_dict()))
     digest, kept = hashlib.sha256(), []
-    real_aggregate, real_sweep = harness._aggregate, cli.run_sweep
+    real_aggregate, real_sweep = harness._aggregate, harness.run_sweep
 
     def aggregate(sinr, fallback, *args):
         digest.update(np.ascontiguousarray(sinr).tobytes())
@@ -59,7 +59,7 @@ def reference_sweep(kind, workdir):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_aggregate", aggregate)
-        patch.setattr(cli, "run_sweep", timed)
+        patch.setattr(harness, "run_sweep", timed)
         assert cli.main(["sweep", "--kind", kind, "--config", str(cfg_path),
                          "--out", str(workdir / "out")]) == 0
     files = {name: (workdir / "out" / name).read_bytes() for name in SWEEP_FILES}

@@ -125,6 +125,10 @@ class TestConfig:
         ('{"snr_db_grid": [0.0], "trials": 30000000, "methods": ["copra"], '
          '"snapshot_grid": [10, 20, 30, 40, 50]}', "trials"),
         ('{"gamma_z_policy": "per-snapshot-median", "n_snapshots": 400000}', "gamma_z_policy"),
+        # the interferers' steering vectors, never drawn: 1.4e8 values
+        ('{"n_elements": 1000, "n_interferers": 7000, "n_snapshots": 1, "snr_db_grid": [0.0], '
+         '"snapshot_grid": [1], "trials": 10, "methods": ["optimal"]}',
+         "steering vectors .* reduce n_elements, n_interferers$"),
         # no method still draws every trial
         ('{"trials": 1000000000000, "methods": []}', "trials"),
         # a repeated method would be computed and written twice
@@ -165,6 +169,31 @@ class TestConfig:
         src = Path(__file__).resolve().parents[1] / "src"
         subprocess.run([sys.executable, "-c", probe, path], check=True,
                        env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+
+    def test_commands_without_trials_load_no_numpy(self, tmp_path):
+        # --help, plot and a config refused at load never import the harness
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"trials": 0}')
+        sweep_csv = tmp_path / "sweep.csv"
+        sweep_csv.write_text(",".join(CSV_HEADER) + "\nsnr,0,copra,1.5,0.1,3,0\n")
+        probe = ("import sys\nfrom copra_beam.cli import main\n"
+                 "try:\n    main(['--help'])\nexcept SystemExit as exc:\n"
+                 "    assert exc.code == 0\n"
+                 "assert main(['plot', sys.argv[1], sys.argv[2]]) == 0\n"
+                 "assert main(['trial', '--config', sys.argv[3]]) == 1\n"
+                 "assert 'numpy' not in sys.modules\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        subprocess.run([sys.executable, "-c", probe, str(sweep_csv), str(tmp_path / "p.svg"),
+                        str(bad)], check=True, capture_output=True,
+                       env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+        assert (tmp_path / "p.svg").read_text().lstrip().startswith("<?xml")
+
+    def test_deeply_nested_config_refused(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"methods": %s%s}' % ("[" * 100000, "]" * 100000))
+        assert main(["trial", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config nests too deeply to parse\n"
 
     def test_config_owns_the_sizing_names(self):
         assert arraysim.ArrayGeometry is config.ArrayGeometry
@@ -385,6 +414,20 @@ class TestTrialCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["interferer_doas_deg"] == []
 
+
+    def test_flags_equal_the_config_fields(self, tmp_path, capsys):
+        flagged = _write_cfg(tmp_path)
+        assert main(["trial", "--config", flagged, "--snr-db", "5", "--seed", "4",
+                     "--json"]) == 0
+        by_flags = capsys.readouterr().out
+        (tmp_path / "fields").mkdir()
+        fields = _write_cfg(tmp_path / "fields", {"snr_db": 5, "seed": 4})
+        assert main(["trial", "--config", fields, "--json"]) == 0
+        assert by_flags == capsys.readouterr().out
+
+    def test_snr_db_flag_checked_as_the_field(self, capsys):
+        assert main(["trial", "--snr-db", "1000"]) == 1
+        assert "snr_db must lie in" in capsys.readouterr().err
 
     def test_levels_copra_did_not_solve_are_null(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, {"methods": ["optimal"], "trials": 1})
