@@ -202,6 +202,22 @@ class TestSolve:
         assert (lane.converged, lane.fallback_used, lane.iterations) == (False, False, 1)
         assert lane.residual == abs(secular_function_weighted(lane.gamma, split, w))
 
+    @pytest.mark.parametrize("seed, gamma", [
+        (43, "0x1.33e39f15793dap-1"),
+        (44, "0x1.90c80c074a888p-2"),
+        (45, "0x1.1f74e661e4980p-1"),
+    ])
+    def test_bisection_only_converges_to_pinned_bits(self, monkeypatch, seed, gamma):
+        # no Newton budget: every step is bisection, so its stop test ends the solve
+        monkeypatch.setattr(secular, "MAX_NEWTON_ITERS", 0)
+        rng = np.random.default_rng(seed)
+        sc = draw_scenario(rng, snr_db=20.0)
+        ss = synthesize_snapshots(sc, 30, rng)
+        es = hermitian_evd(sample_covariance(ss))
+        report = solve_secular(split_eigenvalues(es, 0.1), es.u.conj().T @ sc.a_presumed)
+        assert float(report.gamma).hex() == gamma
+        assert (report.iterations, report.converged, report.fallback_used) == (28, True, False)
+
     def test_converged_residual_consistent(self):
         rng = np.random.default_rng(47)
         sc = draw_scenario(rng, snr_db=20.0)
