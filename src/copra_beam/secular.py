@@ -53,18 +53,16 @@ class EigenSplit:
 class SecularSolveReport:
     """Outcome of one secular-equation solve, or of a stack of lanes.
 
-    Each solve ends in one of three states: converged (|G(gamma)| is the
-    residual); a fallback, where the sign scan found no root and gamma is
-    rho * mean(eigenvalues), with 0 iterations and the smallest |G| on the
-    scan grid, not |G(gamma)|, as the residual; or neither, the budget spent
-    and gamma the bracket's midpoint. In a stack every field is a (lanes,)
-    array. Indexing selects lanes: an integer gives that lane's report in
-    Python float, int and bool, as a single solve returns it.
+    Each solve ends in one of three states: converged; a fallback, where the
+    sign scan found no root and gamma is rho * mean(eigenvalues), with 0
+    iterations; or neither, the budget spent and gamma the bracket's
+    midpoint. In a stack every field is a (lanes,) array. Indexing selects
+    lanes: an integer gives that lane's report in Python float, int and
+    bool, as a single solve returns it.
     """
 
     gamma: float
     iterations: int
-    residual: float
     converged: bool
     fallback_used: bool
 
@@ -173,10 +171,9 @@ def _scan(grid, lam, lam1, weights, beta, n2):
     """The sign scan of some lanes on their (lanes, points) grid, one kernel call.
 
     Per lane: whether G changes sign on its grid, the grid points (lo, hi)
-    around the first change, G at both, and the smallest |G| on the grid.
-    Values at round-off scale relative to the constituent trace terms count
-    as zero (degenerate spectra make G identically zero without an isolated
-    root).
+    around the first change, and G at both. Values at round-off scale
+    relative to the constituent trace terms count as zero (degenerate
+    spectra make G identically zero without an isolated root).
     """
     vals, scales = _kernel(grid, lam, lam1, weights, beta, n2, derivative=False)
     sign = np.sign(vals)
@@ -190,7 +187,7 @@ def _scan(grid, lam, lam1, weights, beta, n2):
     hi_at = change.argmax(axis=1)
     lo_at = prev[rows, hi_at]
     return (change.any(axis=1), grid[rows, lo_at], grid[rows, hi_at],
-            vals[rows, lo_at], vals[rows, hi_at], np.abs(vals).min(axis=1))
+            vals[rows, lo_at], vals[rows, hi_at])
 
 
 def _solve_lanes(lam, lam1, weights, beta, n2, rho):
@@ -201,12 +198,11 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho):
     LANE_CHUNK lanes, finds its first sign change; a lane without one falls
     back. Newton then steps all bracketed lanes together inside their
     brackets, with bisection safeguards, taking G and G' from one kernel
-    call per step; a lane leaves once it converges, and lanes still open
-    when the Newton budget is spent finish by bisection. Iterations and
-    residual are each lane's own, and so are its bits. Failures are
-    reported, never raised, so Monte-Carlo runs always complete.
+    call per step, then bisects once the Newton budget is spent. A lane
+    leaves once it converges; one still open when the budget is spent takes
+    its bracket's midpoint. Iterations and bits are each lane's own.
+    Failures are reported, never raised, so Monte-Carlo runs always complete.
     """
-    weights = np.ascontiguousarray(weights, dtype=float)
     # positive: a split refuses a spectrum without a positive eigenvalue
     mean_lam = lam.mean(axis=-1)
 
@@ -221,11 +217,10 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho):
                                              SCAN_POINTS, axis=-1))
     scans = [_scan(grid[c], lam[c], lam1[c], weights[c], beta, n2)
              for c in lane_chunks(len(lam))]
-    found, lo, hi, g_lo, g_hi, residual = (np.concatenate(v) for v in zip(*scans))
+    found, lo, hi, g_lo, g_hi = (np.concatenate(v) for v in zip(*scans))
     # every lane starts as a fallback; the bracketed ones are written below
     report = SecularSolveReport(gamma=rho * mean_lam, iterations=np.zeros(len(lam), dtype=int),
-                                residual=residual, converged=np.zeros(len(lam), dtype=bool),
-                                fallback_used=~found)
+                                converged=np.zeros(len(lam), dtype=bool), fallback_used=~found)
 
     lanes = np.flatnonzero(found)
     if not lanes.size:
@@ -250,7 +245,6 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho):
                 step = np.where(np.isfinite(slope) & (lo < step) & (step < hi), step, mid)
                 g, slope = kernel(step[:, None])
                 g, slope = g[:, 0], slope[:, 0]
-                done = (abs(g) <= tol) | (abs(step - x) <= GAMMA_REL_TOL * step)
             else:
                 # Newton budget exhausted: finish by bisection
                 step = mid
@@ -258,13 +252,14 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho):
             same = np.sign(g) == np.sign(g_lo)
             lo, g_lo, hi = (np.where(same, step, lo), np.where(same, g, g_lo),
                             np.where(same, hi, step))
-            if not newton:
-                done = (abs(g) <= tol) | (hi - lo <= GAMMA_REL_TOL * step)
+            # the Newton test reads only g, step and x, which the bracket keeps
+            done = (abs(g) <= tol) | ((abs(step - x) if newton else hi - lo)
+                                      <= GAMMA_REL_TOL * step)
             x, gx = step, g
             if done.any():
                 at = lanes[done]
-                report.gamma[at], report.residual[at] = x[done], abs(gx[done])
-                report.iterations[at], report.converged[at] = it + 1, True
+                report.gamma[at], report.iterations[at], report.converged[at] = (
+                    x[done], it + 1, True)
                 if done.all():
                     return report
                 keep = ~done
@@ -273,9 +268,7 @@ def _solve_lanes(lam, lam1, weights, beta, n2, rho):
                                       slope, tol))
 
     # the budget is spent: neither converged nor a fallback
-    mid = 0.5 * (lo + hi)
-    g = kernel(mid[:, None], derivative=False)[0][:, 0]
-    report.gamma[lanes], report.residual[lanes], report.iterations[lanes] = mid, abs(g), budget
+    report.gamma[lanes], report.iterations[lanes] = 0.5 * (lo + hi), budget
     return report
 
 
@@ -303,24 +296,24 @@ def copra_gammas_lanes(es, a_presumed, rho, snapshot_weights=None, snapshot_poli
     es is a (lanes, n) eigensystem stack and a_presumed is (lanes, n);
     returns (n1, report_b, report_z): per lane its split n1, and the stacked
     SecularSolveReports of the steering side, d = U^H a, and the snapshot
-    side. An all-zero spectrum cannot be split: its lane gets n1 = 0, NaN
-    levels and residuals, and neither flag. Lanes are grouped by n1, not
-    padded: numpy sums fewer than 8 terms in order and more in 8-way blocks,
-    so a zero-padded sigma1_sq would change the bits of a lane's sums.
+    side. An all-zero spectrum cannot be split: its lane gets n1 = 0, a NaN
+    level and neither flag. Lanes are grouped by n1, not padded: numpy sums
+    fewer than 8 terms in order and more in 8-way blocks, so a zero-padded
+    sigma1_sq would change the bits of a lane's sums.
     For the snapshot side the default policy replaces |d_i|^2 by its average
     over all snapshots, which equals the covariance eigenvalue lambda_i; the
     alternative solves per snapshot of snapshot_weights (per_snapshot_weights,
     lanes may differ in n_s) and takes the median gamma. Its report sums the
-    iterations and takes the largest residual; it is converged only if every
-    solve converged and a fallback if any solve fell back.
+    iterations; it is converged only if every solve converged and a fallback
+    if any solve fell back.
     """
     if snapshot_policy not in ("averaged", "per-snapshot-median"):
         raise ValueError("unknown snapshot policy %r" % snapshot_policy)
     n1 = _significant(es.eigenvalues, rho)
     report_b, report_z = (SecularSolveReport(
         gamma=np.full(len(n1), np.nan), iterations=np.zeros(len(n1), dtype=int),
-        residual=np.full(len(n1), np.nan), converged=np.zeros(len(n1), dtype=bool),
-        fallback_used=np.zeros(len(n1), dtype=bool)) for _ in range(2))
+        converged=np.zeros(len(n1), dtype=bool), fallback_used=np.zeros(len(n1), dtype=bool))
+        for _ in range(2))
     for k in sorted(set(n1.tolist()) - {0}):
         idx = np.flatnonzero(n1 == k)
         lam, lam1 = es.eigenvalues[idx], es.eigenvalues[idx, :k]
@@ -343,7 +336,6 @@ def copra_gammas_lanes(es, a_presumed, rho, snapshot_weights=None, snapshot_poli
             z = SecularSolveReport(
                 gamma=np.array([np.median(g) for g in np.split(z.gamma, starts[1:])]),
                 iterations=np.add.reduceat(z.iterations, starts),
-                residual=np.maximum.reduceat(z.residual, starts),
                 converged=np.logical_and.reduceat(z.converged, starts),
                 fallback_used=np.logical_or.reduceat(z.fallback_used, starts))
         for report, part in ((report_b, b), (report_z, z)):

@@ -116,7 +116,7 @@ def test_criterion_3_solver_vs_grid_oracle():
         if rel > 1e-6:
             mismatches += 1
         scale = secular_scale(rep.gamma, split, weights)
-        if rep.residual > 1e-6 * scale:
+        if abs(secular.secular_function_weighted(rep.gamma, split, weights)) > 1e-6 * scale:
             residual_bad += 1
     rate_b = sum(r.fallback_used for _, _, r, _ in batch) / n
     rate_z = sum(r.fallback_used for _, _, _, r in batch) / n

@@ -195,6 +195,13 @@ def test_eigensolver_failure_fails_only_its_lane(monkeypatch):
     _neighbours_unchanged(records)
 
 
+def _point_configs(cfg, kind):
+    """Per point of cfg's sweep of the given kind, its value and its config."""
+    if kind == "snr":
+        return [(float(v), dataclasses.replace(cfg, snr_db=float(v))) for v in cfg.snr_db_grid]
+    return [(float(v), dataclasses.replace(cfg, n_snapshots=int(v))) for v in cfg.snapshot_grid]
+
+
 def _per_point_rows(cfg, kind):
     """The rows of a sweep built point by point from run_trials, as run_sweep
     built them when it ran each (point, block) pair on its own."""
@@ -208,13 +215,8 @@ def _per_point_rows(cfg, kind):
                              for r in records], dtype=bool)
         return sinr, fallback
 
-    if kind == "snr":
-        points = [(float(v), dataclasses.replace(cfg, snr_db=float(v))) for v in cfg.snr_db_grid]
-    else:
-        points = [(float(v), dataclasses.replace(cfg, n_snapshots=int(v)))
-                  for v in cfg.snapshot_grid]
     rows = []
-    for value, pcfg in points:
+    for value, pcfg in _point_configs(cfg, kind):
         sinr, fallback = columns(run_trials(pcfg, range(cfg.trials), SEED))
         rows += [harness._aggregate(sinr[:, m], fallback[:, m], method, value)
                  for m, method in enumerate(cfg.methods)]
@@ -274,46 +276,48 @@ def _synthesized(monkeypatch):
     return calls
 
 
-def _stacked_run(monkeypatch, failed):
-    """Run STACKED under a patch that fails trial BAD at point POINT, then
-    hold it to the unpatched per-point runs: only that trial at that point
-    may change, only the methods failed fail, and the sweep's rows equal
-    the rows built point by point under the same patch. The block, one
-    here, synthesizes each point's snapshots once: no lane is run again."""
-    point_cfgs = [dataclasses.replace(STACKED, snr_db=v) for v in STACKED.snr_db_grid]
+def _stacked_run(monkeypatch, stacked, kind, failed):
+    """Run the sweep of the given kind over stacked under a patch that fails
+    trial BAD at point POINT, then hold it to the unpatched per-point runs:
+    only that trial at that point may change, only the methods failed fail,
+    and the sweep's rows equal the rows built point by point under the same
+    patch. The block, one here, synthesizes each point's snapshots once: no
+    lane is run again."""
+    points = _point_configs(stacked, kind)
     synthesized = _synthesized(monkeypatch)
     _, columns = harness._run_points(
-        STACKED, [(v, STACKED.n_snapshots) for v in STACKED.snr_db_grid], INDICES, SEED)
-    assert len(synthesized) == len(point_cfgs)
-    rows = harness.run_sweep(STACKED, "snr", SEED).rows
-    assert len(synthesized) == 2 * len(point_cfgs)
-    patched_rows = _per_point_rows(STACKED, "snr")
+        stacked, [(cfg.snr_db, cfg.n_snapshots) for _, cfg in points], INDICES, SEED)
+    assert len(synthesized) == len(points)
+    rows = harness.run_sweep(stacked, kind, SEED).rows
+    assert len(synthesized) == 2 * len(points)
+    patched_rows = _per_point_rows(stacked, kind)
     monkeypatch.undo()
-    bad = _lane_record(columns[POINT], STACKED.methods, BAD)
+    bad = _lane_record(columns[POINT], stacked.methods, BAD)
     assert set(bad.failures) == set(failed)
     assert all(bad.sinr[m] is None for m in failed)
-    for p, cfg in enumerate(point_cfgs):
+    for p, (_, cfg) in enumerate(points):
         _, (alone,) = harness._run_points(cfg, [(cfg.snr_db, cfg.n_snapshots)], INDICES, SEED)
         for i in INDICES:
             if (p, i) != (POINT, BAD):
                 assert _lane(columns[p], i) == _lane(alone, i), (p, i)
     assert repr(rows) == repr(patched_rows)
-    for row, want in zip(rows, _per_point_rows(STACKED, "snr")):
-        if row.value != STACKED.snr_db_grid[POINT]:
+    for row, want in zip(rows, _per_point_rows(stacked, kind)):
+        if row.value != points[POINT][0]:
             assert repr(row) == repr(want)
         elif row.method in failed:
             assert row.trials == want.trials - 1
     return bad
 
 
-def test_eigensolver_failure_in_a_stacked_point_fails_only_its_lane(monkeypatch):
-    # the sample covariance of one trial at one SNR does not converge: the
-    # eigensolver flags that lane alone, and it fails the methods that read
-    # the sample eigensystem
-    cfg = dataclasses.replace(STACKED, snr_db=STACKED.snr_db_grid[POINT])
-    sl, z = harness._draw_block(cfg, [BAD], SEED, cfg.n_snapshots)
-    target = arraysim.sample_covariance(
-        arraysim.SnapshotSet(arraysim.synthesize_block(sl, z, cfg.n_snapshots)))[0]
+def _bad_sample_covariance(cfg, n_s):
+    """The sample covariance of trial BAD of cfg at n_s snapshots, drawn alone."""
+    sl, z = harness._draw_block(cfg, [BAD], SEED, n_s)
+    return arraysim.sample_covariance(
+        arraysim.SnapshotSet(arraysim.synthesize_block(sl, z, n_s)))[0]
+
+
+def _fail_eigh_on(monkeypatch, target):
+    """Patch np.linalg.eigh to fail on every call whose stack holds target."""
     real = np.linalg.eigh
 
     def eigh(a):
@@ -322,8 +326,33 @@ def test_eigensolver_failure_in_a_stacked_point_fails_only_its_lane(monkeypatch)
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+def _zero_sample_covariance(monkeypatch, target):
+    """Patch arraysim.sample_covariance to zero every lane equal to target."""
+    real = arraysim.sample_covariance
+
+    def zero_target(snapshot_set):
+        c = real(snapshot_set)
+        for lane in c:
+            if np.array_equal(lane, target):
+                lane[...] = 0.0
+        return c
+
+    monkeypatch.setattr(arraysim, "sample_covariance", zero_target)
+
+
+# the SNR point whose trial BAD the stacked runs fail
+STACKED_POINT = dataclasses.replace(STACKED, snr_db=STACKED.snr_db_grid[POINT])
+
+
+def test_eigensolver_failure_in_a_stacked_point_fails_only_its_lane(monkeypatch):
+    # the sample covariance of one trial at one SNR does not converge: the
+    # eigensolver flags that lane alone, and it fails the methods that read
+    # the sample eigensystem
+    _fail_eigh_on(monkeypatch, _bad_sample_covariance(STACKED_POINT, STACKED.n_snapshots))
     failed = ["sample-mvdr", "diagonal-loading", "copra", "quasi-rls"]
-    bad = _stacked_run(monkeypatch, failed)
+    bad = _stacked_run(monkeypatch, STACKED, "snr", failed)
     assert bad.failures == {m: "Eigenvalues did not converge" for m in failed}
 
 
@@ -359,21 +388,8 @@ def test_clairvoyant_eigensolver_failure_fails_its_trial_at_every_snr(monkeypatc
 
 def test_zeroed_lane_in_a_stacked_point_fails_alone(monkeypatch):
     # the sample covariance of one trial at one SNR is zero
-    cfg = dataclasses.replace(STACKED, snr_db=STACKED.snr_db_grid[POINT])
-    sl, z = harness._draw_block(cfg, [BAD], SEED, cfg.n_snapshots)
-    target = arraysim.sample_covariance(
-        arraysim.SnapshotSet(arraysim.synthesize_block(sl, z, cfg.n_snapshots)))[0]
-    real = arraysim.sample_covariance
-
-    def zero_target(snapshot_set):
-        c = real(snapshot_set)
-        for lane in c:
-            if np.array_equal(lane, target):
-                lane[...] = 0.0
-        return c
-
-    monkeypatch.setattr(arraysim, "sample_covariance", zero_target)
-    bad = _stacked_run(monkeypatch, ["sample-mvdr", "copra", "quasi-rls"])
+    _zero_sample_covariance(monkeypatch, _bad_sample_covariance(STACKED_POINT, STACKED.n_snapshots))
+    bad = _stacked_run(monkeypatch, STACKED, "snr", ["sample-mvdr", "copra", "quasi-rls"])
     assert "all-zero spectrum" in bad.failures["copra"]
     assert "singular" in bad.failures["sample-mvdr"]
 
@@ -381,48 +397,7 @@ def test_zeroed_lane_in_a_stacked_point_fails_alone(monkeypatch):
 # three snapshot counts at one SNR, one of them below the element count: one
 # block runs as a stack of 30 lanes
 STACKED_SNAPSHOTS = dataclasses.replace(STACKED, snapshot_grid=(10, 4, 24))
-
-
-def _stacked_snapshot_run(monkeypatch, failed):
-    """_stacked_run for STACKED_SNAPSHOTS, a snapshot sweep: only trial BAD
-    at point POINT may change, only the methods failed fail, the sweep's
-    rows equal the rows built point by point under the same patch, and each
-    point's snapshots are synthesized once."""
-    point_cfgs = [dataclasses.replace(STACKED_SNAPSHOTS, n_snapshots=v)
-                  for v in STACKED_SNAPSHOTS.snapshot_grid]
-    synthesized = _synthesized(monkeypatch)
-    _, columns = harness._run_points(
-        STACKED_SNAPSHOTS, [(STACKED_SNAPSHOTS.snr_db, v) for v in STACKED_SNAPSHOTS.snapshot_grid],
-        INDICES, SEED)
-    assert len(synthesized) == len(point_cfgs)
-    rows = harness.run_sweep(STACKED_SNAPSHOTS, "snapshots", SEED).rows
-    assert len(synthesized) == 2 * len(point_cfgs)
-    patched_rows = _per_point_rows(STACKED_SNAPSHOTS, "snapshots")
-    monkeypatch.undo()
-    bad = _lane_record(columns[POINT], STACKED_SNAPSHOTS.methods, BAD)
-    assert set(bad.failures) == set(failed)
-    assert all(bad.sinr[m] is None for m in failed)
-    for p, cfg in enumerate(point_cfgs):
-        _, (alone,) = harness._run_points(cfg, [(cfg.snr_db, cfg.n_snapshots)], INDICES, SEED)
-        for i in INDICES:
-            if (p, i) != (POINT, BAD):
-                assert _lane(columns[p], i) == _lane(alone, i), (p, i)
-    assert repr(rows) == repr(patched_rows)
-    for row, want in zip(rows, _per_point_rows(STACKED_SNAPSHOTS, "snapshots")):
-        if row.value != STACKED_SNAPSHOTS.snapshot_grid[POINT]:
-            assert repr(row) == repr(want)
-        elif row.method in failed:
-            assert row.trials == want.trials - 1
-    return bad
-
-
-def _bad_sample_covariance():
-    """The sample covariance of trial BAD at point POINT of STACKED_SNAPSHOTS,
-    drawn alone."""
-    n_s = STACKED_SNAPSHOTS.snapshot_grid[POINT]
-    sl, z = harness._draw_block(STACKED_SNAPSHOTS, [BAD], SEED, n_s)
-    return arraysim.sample_covariance(
-        arraysim.SnapshotSet(arraysim.synthesize_block(sl, z, n_s)))[0]
+BAD_SNAPSHOTS = STACKED_SNAPSHOTS.snapshot_grid[POINT]
 
 
 def test_sample_eigensolver_failure_in_a_stacked_snapshot_point_fails_only_its_lane(
@@ -430,33 +405,17 @@ def test_sample_eigensolver_failure_in_a_stacked_snapshot_point_fails_only_its_l
     # the sample covariance of one trial at one snapshot count does not
     # converge: the eigensolver flags that lane alone, and it fails the
     # methods that read the sample eigensystem
-    target = _bad_sample_covariance()
-    real = np.linalg.eigh
-
-    def eigh(a):
-        if any(np.array_equal(m, target) for m in a.reshape(-1, *target.shape)):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    _fail_eigh_on(monkeypatch, _bad_sample_covariance(STACKED_SNAPSHOTS, BAD_SNAPSHOTS))
     failed = ["sample-mvdr", "diagonal-loading", "copra", "quasi-rls"]
-    bad = _stacked_snapshot_run(monkeypatch, failed)
+    bad = _stacked_run(monkeypatch, STACKED_SNAPSHOTS, "snapshots", failed)
     assert bad.failures == {m: "Eigenvalues did not converge" for m in failed}
 
 
 def test_zeroed_lane_in_a_stacked_snapshot_point_fails_alone(monkeypatch):
-    target = _bad_sample_covariance()
-    real = arraysim.sample_covariance
-
-    def zero_target(snapshot_set):
-        c = real(snapshot_set)
-        for lane in c:
-            if np.array_equal(lane, target):
-                lane[...] = 0.0
-        return c
-
-    monkeypatch.setattr(arraysim, "sample_covariance", zero_target)
-    bad = _stacked_snapshot_run(monkeypatch, ["sample-mvdr", "copra", "quasi-rls"])
+    _zero_sample_covariance(monkeypatch,
+                            _bad_sample_covariance(STACKED_SNAPSHOTS, BAD_SNAPSHOTS))
+    bad = _stacked_run(monkeypatch, STACKED_SNAPSHOTS, "snapshots",
+                       ["sample-mvdr", "copra", "quasi-rls"])
     assert "all-zero spectrum" in bad.failures["copra"]
     assert "singular" in bad.failures["sample-mvdr"]
 
