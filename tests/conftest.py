@@ -3,8 +3,8 @@ oracles for the eigenvalue-sum implementations, MVDR on a loaded covariance
 through its own decomposition, the one-trial loop form of
 the scenario and snapshot draw, the test-only oracles of the regularized
 least-squares problem (MSE formulas, LS/RLS estimators, the worst-case
-robust cost and its gradient, spectral helpers), and the reference sweeps,
-run once per session.
+robust cost and its gradient, spectral helpers), the exact secular sign
+scan, and the reference sweeps, run once per session.
 """
 
 import hashlib
@@ -352,6 +352,30 @@ def secular_terms(gamma, split, weights):
     g, dg = secular._kernel(*args, derivative=True)
     scale = secular._kernel(*args, derivative=False)[1]
     return tuple(v.reshape(np.shape(gamma))[()] for v in (g, dg, scale))
+
+
+def scan_oracle(grid, lam, lam1, weights, beta, n2):
+    """The exact sign scan of some lanes on their (lanes, points) grid, one
+    kernel call; oracle for the solver's two-tier sign pass.
+
+    Per lane: whether G changes sign on its grid, the grid points (lo, hi)
+    around the first change, and G at both. Values at round-off scale
+    relative to the constituent trace terms count as zero (degenerate
+    spectra make G identically zero without an isolated root).
+    """
+    vals, scales = secular._kernel(grid, lam, lam1, weights, beta, n2, derivative=False)
+    sign = np.sign(vals)
+    sign[np.abs(vals) <= 1e-12 * scales] = 0
+    # prev[:, j]: the last point before j with a nonzero sign, or -1
+    points = np.arange(grid.shape[1])
+    last = np.maximum.accumulate(np.where(sign != 0, points, -1), axis=1)
+    prev = np.concatenate([np.full((len(lam), 1), -1), last[:, :-1]], axis=1)
+    change = (sign != 0) & (prev >= 0) & (sign != np.take_along_axis(sign, prev, axis=1))
+    rows = np.arange(len(lam))
+    hi_at = change.argmax(axis=1)
+    lo_at = prev[rows, hi_at]
+    return (change.any(axis=1), grid[rows, lo_at], grid[rows, hi_at],
+            vals[rows, lo_at], vals[rows, hi_at])
 
 
 def secular_derivative_weighted(gamma, split, weights):

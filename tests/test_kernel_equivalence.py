@@ -1,7 +1,8 @@
 """The broadcast secular scan and the closed-form quasi selector against
 their scalar and dense forms, on random, rank-deficient, repeated-eigenvalue
 and zero-eigenvalue spectra, and their lane-chunked forms against each lane
-run alone; diagonal loading by a shifted spectrum against a fresh
+run alone; the two-tier sign pass against the exact scan, also on hostile
+spectra; diagonal loading by a shifted spectrum against a fresh
 decomposition of the loaded covariance, and the snapshot powers n_s * lambda
 against the snapshots' own.
 """
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (dense_quasi_gamma, loaded_mvdr_by_decomposition, random_complex_vector,
-                      random_psd, secular_scale, secular_terms)
+                      random_psd, scan_oracle, secular_scale, secular_terms)
 from copra_beam import arraysim, harness, secular
 from copra_beam.beamformers import (copra_lanes, loaded_mvdr_lanes, mode_powers, mvdr_lanes,
                                     quasi_lanes, quasi_optimal_gamma)
@@ -74,6 +75,125 @@ def test_broadcast_scan_matches_scalar_kernel(case):
                                   for x in grid])
         assert vals.tobytes() == scalar_vals.tobytes()
         assert scales.tobytes() == scalar_scales.tobytes()
+
+
+def _pass_lane(kind, n, rng):
+    """Eigenvalues, a weight row and the split n1 of one sign-pass lane: the
+    steering side (|U^H r|^2), the averaged snapshot side (the eigenvalues)
+    or one snapshot's |U^H y_t|^2."""
+    if kind == "nine-decade":
+        es = _diag_es(10.0 ** rng.uniform(-9.0, 0.0, n))
+        obs = np.stack([random_complex_vector(rng, n) for _ in range(3)], axis=1)
+    else:
+        es, obs = _spectrum(kind, n, rng)
+    side = int(rng.integers(3))
+    r = obs[:, 0] if side == 0 else obs[:, int(rng.integers(obs.shape[1]))]
+    weights = es.eigenvalues.copy() if side == 1 else np.abs(es.u.conj().T @ r) ** 2
+    n1 = int(secular._significant(es.eigenvalues, float(rng.uniform(0.05, 0.5))))
+    return es.eigenvalues, weights, n1
+
+
+def _check_sign_pass(lam, weights, n1):
+    """The sign pass's found flags and brackets, and _kernel's G at both
+    bracket ends, bit for bit those of the exact scan of each lane alone,
+    with the derived bound and with every point rechecked. Returns the found
+    flags and the points the derived bound left to the recheck."""
+    n = lam.shape[1]
+    want = []
+    for i, k in enumerate(n1.tolist()):
+        mean = lam[i].mean()
+        grid = np.geomspace(secular.SCAN_LO_FACTOR * mean, secular.SCAN_HI_FACTOR * mean,
+                            secular.SCAN_POINTS)[None]
+        with np.errstate(all="ignore"):
+            want.append(scan_oracle(grid, lam[i:i + 1], lam[i:i + 1, :k], weights[i:i + 1],
+                                    n / k, n - k))
+    found_1, lo_1, hi_1, g_lo_1, g_hi_1 = (np.concatenate(v) for v in zip(*want))
+    real, rechecked = secular._kernel, []
+
+    def kernel(gamma, *args, **kwargs):
+        rechecked.append(gamma.size)
+        return real(gamma, *args, **kwargs)
+
+    for forced in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(secular, "_kernel", kernel)
+            if forced:
+                patch.setattr(secular, "_sign_bound", lambda n: np.inf)
+            del rechecked[:]
+            found, lo, hi = secular._sign_pass(lam, n1, weights, n / n1, n - n1)
+        if forced:
+            assert sum(rechecked) == lam.shape[0] * secular.SCAN_POINTS
+        else:
+            left = sum(rechecked)
+        assert found.tobytes() == found_1.tobytes(), forced
+        assert lo.tobytes() == lo_1.tobytes() and hi.tobytes() == hi_1.tobytes(), forced
+        for i in np.flatnonzero(found):
+            k = n1[i]
+            with np.errstate(all="ignore"):
+                g, _ = secular._kernel(np.array([[lo[i], hi[i]]]), lam[i:i + 1], lam[i:i + 1, :k],
+                                       weights[i:i + 1], n / k, n - k, derivative=True)
+            assert g[0].tobytes() == np.array([g_lo_1[i], g_hi_1[i]]).tobytes(), (forced, i)
+    return found, left
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(2, 12), st.integers(1, 2 * LANE_CHUNK + 3), st.integers(0, 2**32 - 1))
+def test_sign_pass_matches_the_exact_scan(n, lanes, seed):
+    # random, rank-deficient, repeated, zero, nine-decade and protocol
+    # spectra, both sides and single snapshots, mixed n1 in one stack that
+    # may cross chunk edges
+    rng = np.random.default_rng(seed)
+    kinds = SPECTRA + ("nine-decade",)
+    lam, weights, n1 = zip(*(_pass_lane(kinds[rng.integers(len(kinds))], n, rng)
+                             for _ in range(lanes)))
+    _check_sign_pass(np.stack(lam), np.stack(weights), np.array(n1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sign_pass_on_hostile_spectra():
+    # lanes whose fast sums underflow (1e-160) or overflow (1e150, 1e160),
+    # a lane of zero weights (G = 0 with a zero scale), and isotropic lanes
+    # with n2 = 0 (G = 0 identically), beside ordinary lanes, across chunks.
+    # The bound decides every point of the ordinary and isotropic lanes and
+    # none of a lane out of its range or of zero scale
+    rng = np.random.default_rng(29)
+    n = 6
+    rows = []
+    for scale in (1.0, 1e-160, 1e150, 1e160, 1.0):
+        lam, weights, n1 = _pass_lane("random", n, rng)
+        rows += [(scale * lam, weights, n1), (scale * lam, scale * weights, n1)]
+    lam, weights, n1 = _pass_lane("random", n, rng)
+    rows.append((lam, np.zeros(n), n1))
+    for level in (1e-3, 1.0, 1e4):
+        rows += [(np.full(n, level), np.abs(random_complex_vector(rng, n)) ** 2, n),
+                 (np.full(n, level), np.full(n, level), n)]
+    rows *= 2
+    lam, weights, n1 = (np.stack(v) for v in zip(*rows))
+    found, left = _check_sign_pass(lam, weights, n1)
+    isotropic = (lam == lam[:, :1]).all(axis=1)
+    assert found.any() and isotropic.sum() == 12
+    assert not found[isotropic].any() and not found[~weights.any(axis=1)].any()
+    out = ((np.maximum(lam.max(axis=1), weights.max(axis=1)) > 1e20)
+           | (np.where(lam > 0, lam, np.inf).min(axis=1) < 1e-20))
+    assert left == np.count_nonzero(out | ~weights.any(axis=1)) * secular.SCAN_POINTS
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(cases, st.integers(1, 6), st.integers(1, 6))
+def test_kernel_value_is_the_same_with_or_without_the_derivative(case, lanes, points):
+    kind, n, seed = case
+    rng = np.random.default_rng(seed)
+    systems = [_spectrum(kind, n, rng) for _ in range(lanes)]
+    lam = np.stack([es.eigenvalues for es, _ in systems])
+    weights = np.stack([np.abs(es.u.conj().T @ obs[:, 0]) ** 2 for es, obs in systems])
+    k = int(rng.integers(1, n + 1))
+    mean = lam.mean(axis=-1, keepdims=True)
+    gamma = mean * 10.0 ** rng.uniform(-9.0, 3.0, (lanes, points))
+    args = (gamma, lam, lam[:, :k].copy(), weights, n / k, n - k)
+    with np.errstate(all="ignore"):
+        value, _ = secular._kernel(*args, derivative=False)
+        with_derivative, _ = secular._kernel(*args, derivative=True)
+    assert value.tobytes() == with_derivative.tobytes()
 
 
 @settings(max_examples=300, deadline=None, database=None)
